@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -33,7 +34,6 @@
 #include "net/calibrate.hpp"
 #include "net/engine.hpp"
 #include "net/surrogate.hpp"
-#include "net/surrogate_cache.hpp"
 #include "runner/runner.hpp"
 
 using namespace uwbams;
@@ -58,10 +58,10 @@ net::CalibrationConfig engine_calibration(const runner::RunContext& ctx) {
 
 // The surrogate powering the network engine, by precedence: the
 // UWBAMS_SURROGATE environment variable points at an explicit surrogate.json
-// (the surrogate_fit artifact, loaded verbatim); else the UWBAMS_CACHE
-// content-addressed store may already hold this exact calibration; else a
-// tier-sized calibration runs inline (and feeds the store). All paths are
-// bit-identical for any --jobs. Returns false on a bad cache file.
+// (the surrogate_fit artifact, loaded verbatim); else the memo (in-process,
+// or the UWBAMS_CACHE store) may already hold this exact calibration; else
+// a tier-sized calibration runs inline (and feeds the memo). All paths are
+// bit-identical for any --jobs. Returns false on a bad surrogate file.
 bool load_or_calibrate(const runner::RunContext& ctx, net::SurrogateTable* out,
                        std::string* source) {
   if (const char* path = std::getenv("UWBAMS_SURROGATE")) {
@@ -85,16 +85,17 @@ bool load_or_calibrate(const runner::RunContext& ctx, net::SurrogateTable* out,
   const auto cal = engine_calibration(ctx);
   ctx.sink.notef("calibrating surrogate: %zu cells x %d samples ...",
                  cal.cell_count(), cal.samples_per_cell);
-  int quarantined = 0;
+  std::optional<int> quarantined;  // set only when the calibration runs
   *out = net::load_or_calibrate_surrogate(cal, core::IntegratorKind::kIdeal,
-                                          &ctx.pool, &quarantined, source);
-  if (quarantined > 0)
+                                          &ctx.pool, &quarantined);
+  *source = quarantined ? "inline calibration" : "memo";
+  if (!quarantined) return true;
+  if (*quarantined > 0)
     ctx.sink.notef("%d calibration exchange(s) quarantined after retries "
                    "(counted as acquisition failures)",
-                   quarantined);
-  if (quarantined >= 0)
-    ctx.sink.metric("calibration_quarantined",
-                    static_cast<std::uint64_t>(quarantined));
+                   *quarantined);
+  ctx.sink.metric("calibration_quarantined",
+                  static_cast<std::uint64_t>(*quarantined));
   return true;
 }
 
@@ -213,15 +214,12 @@ REGISTER_SCENARIO_TIERS(surrogate_fit, "netscale",
                  "%d workers) ...",
                  cal.cell_count(), cal.samples_per_cell, ctx.jobs);
   const auto t0 = std::chrono::steady_clock::now();
-  int cal_quarantined = 0;
-  std::string cal_source;
+  std::optional<int> calibrated_quarantined;  // empty on a memo hit
   const auto table = net::load_or_calibrate_surrogate(
-      cal, core::IntegratorKind::kIdeal, &ctx.pool, &cal_quarantined,
-      &cal_source);
-  if (cal_quarantined < 0) {  // content-addressed hit: nothing was run
-    ctx.sink.notef("calibration served from %s", cal_source.c_str());
-    cal_quarantined = 0;
-  }
+      cal, core::IntegratorKind::kIdeal, &ctx.pool, &calibrated_quarantined);
+  if (!calibrated_quarantined)
+    ctx.sink.note("calibration served from the memo");
+  const int cal_quarantined = calibrated_quarantined.value_or(0);
   const double t_cal =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -13,17 +13,6 @@ namespace uwbams::base {
 
 namespace fs = std::filesystem;
 
-std::uint64_t content_hash(std::string_view canonical) {
-  return fnv1a64(canonical);
-}
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 std::string CheckpointStore::shard_name(std::size_t index) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "shard_%06zu.json", index);

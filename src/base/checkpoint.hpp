@@ -29,19 +29,9 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace uwbams::base {
-
-/// Content hash of a canonical config string (fnv1a64). The caller renders
-/// every result-affecting knob into `canonical`; two runs share a
-/// checkpoint only when their keys match.
-std::uint64_t content_hash(std::string_view canonical);
-
-/// "0x%016x" rendering used for 64-bit values inside JSON artifacts (JSON
-/// numbers are doubles; a seed or hash above 2^53 would lose bits).
-std::string hex_u64(std::uint64_t v);
 
 class CheckpointStore {
  public:

@@ -344,6 +344,13 @@ std::string JsonValue::dump(int indent) const {
   return out;
 }
 
+std::string hex_u64(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
 JsonValue parse_json(const std::string& text) {
   return Parser(text).parse_document();
 }

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -79,6 +80,10 @@ class JsonValue {
   JsonArray arr_;
   JsonObject obj_;
 };
+
+/// "0x%016llx" rendering used for 64-bit values inside JSON artifacts (JSON
+/// numbers are doubles; a seed or hash above 2^53 would lose bits).
+std::string hex_u64(std::uint64_t v);
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected). Throws JsonError with an offset-annotated message.

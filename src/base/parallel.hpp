@@ -7,8 +7,7 @@
 // any job count — "--jobs=8" is purely a wall-clock knob.
 //
 // Lives in base/ (not runner/) so library-level sweeps like
-// uwb::run_ber_sweep can fan out without depending on the scenario layer;
-// runner/parallel.hpp re-exports the class under its historical name.
+// uwb::run_ber_sweep can fan out without depending on the scenario layer.
 #pragma once
 
 #include <cstddef>

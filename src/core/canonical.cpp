@@ -4,6 +4,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "base/faults.hpp"
 #include "uwb/channel.hpp"
 
 namespace uwbams::core::canonical {
@@ -41,32 +42,6 @@ int parse_exact_int(const JsonValue& v, const char* name) {
     fail(std::string(name) + ": expected an exact 32-bit integer");
   return static_cast<int>(d);
 }
-
-// Renders one field into the object under construction.
-struct Writer {
-  JsonObject* obj;
-  void operator()(const char* name, double& f) { (*obj)[name] = JsonValue(f); }
-  void operator()(const char* name, int& f) { (*obj)[name] = JsonValue(f); }
-  void operator()(const char* name, bool& f) { (*obj)[name] = JsonValue(f); }
-  void operator()(const char* name, std::uint64_t& f) {
-    (*obj)[name] = JsonValue(base::hex_u64(f));
-  }
-  void operator()(const char* name, std::vector<double>& f) {
-    JsonArray arr;
-    arr.reserve(f.size());
-    for (double x : f) arr.emplace_back(x);
-    (*obj)[name] = JsonValue(std::move(arr));
-  }
-  void operator()(const char* name, spice::Integrator& f) {
-    (*obj)[name] = JsonValue(integrator_method_name(f));
-  }
-  void operator()(const char* name, spice::Corner& f) {
-    (*obj)[name] = JsonValue(std::string(spice::to_string(f)));
-  }
-  void operator()(const char* name, uwb::ChannelClass& f) {
-    (*obj)[name] = JsonValue(std::string(uwb::to_string(f)));
-  }
-};
 
 // Assigns one field from the source object, tracking consumed keys so the
 // caller can reject unknown ones afterwards.
@@ -125,7 +100,7 @@ template <typename T>
 JsonValue flat_to_json(const T& value) {
   T copy = value;
   JsonObject obj;
-  visit_fields(copy, Writer{&obj});
+  visit_fields(copy, FieldWriter{&obj});
   return JsonValue(std::move(obj));
 }
 
@@ -210,7 +185,7 @@ void from_json(const base::JsonValue& doc, uwb::InterferenceConfig* out) {
 base::JsonValue to_json(const uwb::SystemConfig& c) {
   uwb::SystemConfig copy = c;
   JsonObject obj;
-  visit_fields(copy, Writer{&obj});
+  visit_fields(copy, FieldWriter{&obj});
   obj["clock"] = to_json(c.clock);
   obj["interference"] = to_json(c.interference);
   return JsonValue(std::move(obj));
@@ -237,7 +212,7 @@ void from_json(const base::JsonValue& doc, spice::ModelVariation* out) {
 base::JsonValue to_json(const spice::ItdSizing& c) {
   spice::ItdSizing copy = c;
   JsonObject obj;
-  visit_fields(copy, Writer{&obj});
+  visit_fields(copy, FieldWriter{&obj});
   obj["variation"] = to_json(c.variation);
   return JsonValue(std::move(obj));
 }
@@ -267,7 +242,7 @@ void from_json(const base::JsonValue& doc, spice::OpOptions* out) {
 base::JsonValue to_json(const spice::TransientOptions& c) {
   spice::TransientOptions copy = c;
   JsonObject obj;
-  visit_fields(copy, Writer{&obj});
+  visit_fields(copy, FieldWriter{&obj});
   obj["adaptive"] = to_json(c.adaptive);
   obj["op"] = to_json(c.op);
   return JsonValue(std::move(obj));
@@ -291,7 +266,7 @@ base::JsonValue to_json(const CharacterizeOptions& c) {
         "be serialized (per-task solver state, not a knob)");
   CharacterizeOptions copy = c;
   JsonObject obj;
-  visit_fields(copy, Writer{&obj});
+  visit_fields(copy, FieldWriter{&obj});
   obj["transient"] = to_json(c.transient);
   return JsonValue(std::move(obj));
 }
@@ -310,7 +285,7 @@ void from_json(const base::JsonValue& doc, CharacterizeOptions* out) {
 base::JsonValue to_json(const uwb::TwrConfig& c) {
   uwb::TwrConfig copy = c;
   JsonObject obj;
-  visit_fields(copy, Writer{&obj});
+  visit_fields(copy, FieldWriter{&obj});
   obj["sys"] = to_json(c.sys);
   obj["clock_a"] = to_json(c.clock_a);
   obj["clock_b"] = to_json(c.clock_b);
@@ -330,7 +305,13 @@ void from_json(const base::JsonValue& doc, uwb::TwrConfig* out) {
 }
 
 std::uint64_t key_of(const base::JsonValue& doc) {
-  return base::content_hash(doc.dump(0));
+  return base::fnv1a64(doc.dump(0));
+}
+
+std::uint64_t content_key(const char* kind, JsonObject fields) {
+  fields["code_version"] = JsonValue(std::string(kCodeVersion));
+  fields["kind"] = JsonValue(std::string(kind));
+  return key_of(JsonValue(std::move(fields)));
 }
 
 }  // namespace uwbams::core::canonical

@@ -2,8 +2,8 @@
 /// @brief Canonical, schema-versioned serialization of every result-affecting
 /// configuration struct, plus the content keys derived from it.
 ///
-/// One run identity, shared by every caching layer: the checkpoint store
-/// (PR 8), the Monte-Carlo shard manifest, the surrogate cache and the
+/// One run identity, shared by every caching layer: the checkpoint store,
+/// the Monte-Carlo shard manifest, the memo layer (core/memo.hpp) and the
 /// `uwbams_serve` result cache all key their entries off the FNV-1a hash of
 /// a *canonical* JSON document — sorted keys, %.17g numbers, 64-bit values
 /// as "0x%016llx" strings (JSON numbers are doubles; a seed above 2^53
@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "base/checkpoint.hpp"
 #include "base/json.hpp"
 #include "core/block_variant.hpp"
 #include "core/characterize.hpp"
@@ -247,6 +246,31 @@ bool parse_integrator_kind(const std::string& text, IntegratorKind* out);
 /// "cm1".."cm4" — forwarded to uwb::parse_channel_class (exact match).
 bool parse_channel_class(const std::string& text, uwb::ChannelClass* out);
 
+/// The visitor every to_json renders with: writes one visited field into
+/// `obj`. Public so structs visited outside core (net::CalibrationConfig)
+/// key through the same rendering.
+struct FieldWriter {
+  base::JsonObject* obj;
+  void operator()(const char* name, double& f) { (*obj)[name] = f; }
+  void operator()(const char* name, int& f) { (*obj)[name] = f; }
+  void operator()(const char* name, bool& f) { (*obj)[name] = f; }
+  void operator()(const char* name, std::uint64_t& f) {
+    (*obj)[name] = base::hex_u64(f);
+  }
+  void operator()(const char* name, std::vector<double>& f) {
+    (*obj)[name] = base::JsonArray(f.begin(), f.end());
+  }
+  void operator()(const char* name, spice::Integrator& f) {
+    (*obj)[name] = integrator_method_name(f);
+  }
+  void operator()(const char* name, spice::Corner& f) {
+    (*obj)[name] = spice::to_string(f);
+  }
+  void operator()(const char* name, uwb::ChannelClass& f) {
+    (*obj)[name] = uwb::to_string(f);
+  }
+};
+
 // -------------------------------------------------------- JSON round trips
 //
 // to_json produces the canonical document (sorted keys via JsonObject,
@@ -291,5 +315,9 @@ void from_json(const base::JsonValue& doc, uwb::TwrConfig* out);
 /// Content key of a canonical document: FNV-1a over the compact dump.
 /// Two documents equal up to key order / whitespace share a key.
 std::uint64_t key_of(const base::JsonValue& doc);
+
+/// Content key of one kind of computation: key_of `fields` (every
+/// result-affecting input) plus {code_version, kind}.
+std::uint64_t content_key(const char* kind, base::JsonObject fields);
 
 }  // namespace uwbams::core::canonical

@@ -1,6 +1,7 @@
 #include "core/memo.hpp"
 
 #include <cstdlib>
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,19 +19,20 @@ using base::JsonObject;
 using base::JsonValue;
 
 constexpr const char* kResultSchema = "uwbams-characterize-result-v1";
-constexpr const char* kChannelSchema = "uwbams-channel-draws-v1";
 
 struct MemoState {
-  std::mutex mu;
-  std::map<std::uint64_t, ItdCharacterization> mem;
-  std::map<std::uint64_t, std::vector<uwb::ChannelRealization>> channel_mem;
-  std::unique_ptr<serve::ResultCache> disk;  // null without UWBAMS_CACHE
+  // Null without UWBAMS_CACHE; set once, and internally synchronized. One
+  // memory entry: `mem` already holds every value, so the store only
+  // needs its disk level.
+  std::unique_ptr<serve::ResultCache> disk;
+  std::mutex mu;  // guards mem and stats
+  std::map<std::uint64_t, detail::Erased> mem;
   Stats stats;
 
   MemoState() {
     if (const char* dir = std::getenv("UWBAMS_CACHE"))
       if (dir[0] != '\0')
-        disk = std::make_unique<serve::ResultCache>(dir);
+        disk = std::make_unique<serve::ResultCache>(dir, 1);
   }
 };
 
@@ -49,14 +51,50 @@ bool enabled() {
   return on;
 }
 
+detail::Erased detail::lookup(
+    std::uint64_t key, const std::function<Erased(const std::string&)>& decode,
+    const std::function<Erased()>& compute,
+    const std::function<std::string(const void*)>& encode) {
+  MemoState& s = state();
+  {
+    std::lock_guard<std::mutex> lock(s.mu);
+    const auto it = s.mem.find(key);
+    if (it != s.mem.end()) {
+      ++s.stats.mem_hits;
+      return it->second;
+    }
+  }
+  // Decode, compute and encode run unlocked: a characterization or a
+  // calibration takes seconds and other threads may be memoizing other
+  // keys. Two threads racing on one key both compute; the first insert
+  // wins, so every caller returns the same object.
+  std::string text;
+  if (s.disk != nullptr && s.disk->get(key, &text)) {
+    try {
+      Erased value = decode(text);
+      std::lock_guard<std::mutex> lock(s.mu);
+      ++s.stats.disk_hits;
+      return s.mem.emplace(key, std::move(value)).first->second;
+    } catch (const std::exception&) {
+      // Undecodable entry: a miss; the put below overwrites it.
+    }
+  }
+  {
+    std::lock_guard<std::mutex> lock(s.mu);
+    ++s.stats.misses;
+  }
+  Erased value = compute();
+  if (s.disk != nullptr) s.disk->put(key, encode(value.get()));
+  std::lock_guard<std::mutex> lock(s.mu);
+  return s.mem.emplace(key, std::move(value)).first->second;
+}
+
 std::uint64_t characterize_content_key(const spice::ItdSizing& sizing,
                                        const CharacterizeOptions& options) {
-  JsonObject obj;
-  obj["code_version"] = JsonValue(std::string(canonical::kCodeVersion));
-  obj["kind"] = JsonValue(std::string("uwbams-characterize/1"));
-  obj["options"] = canonical::to_json(options);
-  obj["sizing"] = canonical::to_json(sizing);
-  return canonical::key_of(JsonValue(std::move(obj)));
+  JsonObject fields;
+  fields["options"] = canonical::to_json(options);
+  fields["sizing"] = canonical::to_json(sizing);
+  return canonical::content_key("uwbams-characterize/1", std::move(fields));
 }
 
 std::string characterization_to_json(const ItdCharacterization& ch) {
@@ -113,150 +151,12 @@ ItdCharacterization characterization_from_json(const std::string& text) {
 
 ItdCharacterization characterize_itd_cached(
     const spice::ItdSizing& sizing, const CharacterizeOptions& options) {
-  if (!enabled() || options.ac_workspace != nullptr)
-    return characterize_itd(sizing, options);
-  const std::uint64_t key = characterize_content_key(sizing, options);
-  MemoState& s = state();
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    const auto it = s.mem.find(key);
-    if (it != s.mem.end()) {
-      ++s.stats.mem_hits;
-      return it->second;
-    }
-    if (s.disk != nullptr) {
-      std::string text;
-      if (s.disk->get(key, &text)) {
-        ItdCharacterization ch = characterization_from_json(text);
-        s.mem.emplace(key, ch);
-        ++s.stats.disk_hits;
-        return ch;
-      }
-    }
-    ++s.stats.misses;
-  }
-  // Compute outside the lock: a characterization takes seconds and other
-  // threads may be memoizing different keys.
-  ItdCharacterization ch = characterize_itd(sizing, options);
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.mem.emplace(key, ch);
-  if (s.disk != nullptr) s.disk->put(key, characterization_to_json(ch));
-  return ch;
+  if (options.ac_workspace != nullptr) return characterize_itd(sizing, options);
+  return memoize(characterize_content_key(sizing, options),
+                 Codec<ItdCharacterization>{&characterization_to_json,
+                                            &characterization_from_json},
+                 [&] { return characterize_itd(sizing, options); });
 }
-
-std::uint64_t channel_draws_content_key(
-    uwb::ChannelClass cls, const uwb::SalehValenzuelaParams& p,
-    std::uint64_t seed, int count) {
-  JsonObject params;
-  params["cluster_rate"] = JsonValue(p.cluster_rate);
-  params["ray_rate1"] = JsonValue(p.ray_rate1);
-  params["ray_rate2"] = JsonValue(p.ray_rate2);
-  params["ray_mix_beta"] = JsonValue(p.ray_mix_beta);
-  params["cluster_decay"] = JsonValue(p.cluster_decay);
-  params["ray_decay"] = JsonValue(p.ray_decay);
-  params["mean_clusters"] = JsonValue(p.mean_clusters);
-  params["nakagami_m_median"] = JsonValue(p.nakagami_m_median);
-  params["nakagami_m_sigma"] = JsonValue(p.nakagami_m_sigma);
-  params["nakagami_m_first"] = JsonValue(p.nakagami_m_first);
-  params["los"] = JsonValue(p.los);
-  params["max_excess_delay"] = JsonValue(p.max_excess_delay);
-  params["max_taps"] = JsonValue(p.max_taps);
-  JsonObject obj;
-  obj["code_version"] = JsonValue(std::string(canonical::kCodeVersion));
-  obj["kind"] = JsonValue(std::string("uwbams-channel/1"));
-  obj["class"] = JsonValue(std::string(uwb::to_string(cls)));
-  obj["params"] = JsonValue(std::move(params));
-  obj["seed"] = JsonValue(base::hex_u64(seed));
-  obj["count"] = JsonValue(count);
-  return canonical::key_of(JsonValue(std::move(obj)));
-}
-
-std::string channel_draws_to_json(
-    const std::vector<uwb::ChannelRealization>& draws) {
-  JsonArray arr;
-  arr.reserve(draws.size());
-  for (const uwb::ChannelRealization& cr : draws) {
-    JsonArray taps;
-    taps.reserve(cr.taps.size());
-    for (const uwb::ChannelTap& tap : cr.taps) {
-      JsonArray pair;
-      pair.emplace_back(tap.delay);
-      pair.emplace_back(tap.gain);
-      taps.emplace_back(std::move(pair));
-    }
-    arr.emplace_back(std::move(taps));
-  }
-  JsonObject obj;
-  obj["schema"] = JsonValue(std::string(kChannelSchema));
-  obj["draws"] = JsonValue(std::move(arr));
-  return JsonValue(std::move(obj)).dump(0);
-}
-
-std::vector<uwb::ChannelRealization> channel_draws_from_json(
-    const std::string& text) {
-  const JsonValue doc = base::parse_json(text);
-  const JsonObject& obj = doc.as_object();
-  if (obj.at("schema").as_string() != kChannelSchema)
-    throw base::JsonError("memo: unexpected channel-draws schema '" +
-                          obj.at("schema").as_string() + "'");
-  std::vector<uwb::ChannelRealization> draws;
-  for (const JsonValue& row : obj.at("draws").as_array()) {
-    uwb::ChannelRealization cr;
-    for (const JsonValue& tap : row.as_array()) {
-      const JsonArray& pair = tap.as_array();
-      if (pair.size() != 2)
-        throw base::JsonError("memo: channel tap is not a [delay, gain] pair");
-      cr.taps.push_back({pair[0].as_number(), pair[1].as_number()});
-    }
-    draws.push_back(std::move(cr));
-  }
-  return draws;
-}
-
-std::vector<uwb::ChannelRealization> channel_draws_cached(
-    uwb::ChannelClass cls, const uwb::SalehValenzuelaParams& params,
-    std::uint64_t seed, int count) {
-  if (!enabled())
-    return uwb::draw_realizations_uncached(cls, params, seed, count);
-  const std::uint64_t key = channel_draws_content_key(cls, params, seed, count);
-  MemoState& s = state();
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    const auto it = s.channel_mem.find(key);
-    if (it != s.channel_mem.end()) {
-      ++s.stats.channel_mem_hits;
-      return it->second;
-    }
-    if (s.disk != nullptr) {
-      std::string text;
-      if (s.disk->get(key, &text)) {
-        std::vector<uwb::ChannelRealization> draws =
-            channel_draws_from_json(text);
-        s.channel_mem.emplace(key, draws);
-        ++s.stats.channel_disk_hits;
-        return draws;
-      }
-    }
-    ++s.stats.channel_misses;
-  }
-  std::vector<uwb::ChannelRealization> draws =
-      uwb::draw_realizations_uncached(cls, params, seed, count);
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.channel_mem.emplace(key, draws);
-  if (s.disk != nullptr) s.disk->put(key, channel_draws_to_json(draws));
-  return draws;
-}
-
-namespace {
-// Linking core wires the memo into uwb::draw_realizations: a plain
-// function-pointer store into zero-initialized state, safe at static-init
-// time from any TU ordering. The constructor attribute (not a dynamic
-// initializer of an unused static) keeps the hook a live root under LTO,
-// which is entitled to drop an initializer whose variable is never read.
-__attribute__((constructor)) void install_channel_provider() {
-  uwb::set_channel_draw_provider(&channel_draws_cached);
-}
-}  // namespace
 
 Stats stats() {
   MemoState& s = state();
@@ -268,7 +168,6 @@ void reset_for_tests() {
   MemoState& s = state();
   std::lock_guard<std::mutex> lock(s.mu);
   s.mem.clear();
-  s.channel_mem.clear();
   s.stats = Stats{};
 }
 

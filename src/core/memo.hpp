@@ -1,48 +1,73 @@
 /// @file memo.hpp
-/// @brief Content-addressed memoization of warm intermediates.
+/// @brief Content-addressed memoization of expensive intermediates.
 ///
-/// characterize_itd is the repo's canonical "expensive intermediate": six
-/// scenario-level call sites re-measure the identical default cell (AC
-/// sweep + ~13 transient integrations) every run. This layer memoizes it
-/// under the same content-key discipline as the serve result cache: the
-/// FNV-1a hash of the canonical {code_version, sizing, options} document
-/// (core/canonical.hpp), so any result-affecting knob — or a code-version
-/// bump — mis-hits nothing and a repeat hits exactly.
+/// The top-down loop reuses expensive intermediates: the Phase-II ITD
+/// characterization feeds every behavioral model, and the netscale tier
+/// reuses one calibrated PHY surrogate. `memoize` is the one lookup path
+/// for both (characterize_itd_cached below, net::load_or_calibrate_surrogate),
+/// keyed by the FNV-1a hash of a canonical {code_version, kind, ...}
+/// document (core/canonical.hpp): any result-affecting knob or a
+/// code-version bump mis-hits nothing, and a repeat hits exactly.
 ///
-/// Two storage levels:
-///   * an in-process map holding the characterization struct itself —
-///     a hit returns the very bits the cold call produced;
-///   * optionally, when UWBAMS_CACHE names a directory, a disk level
-///     shared with `uwbams_serve` (serve::ResultCache: entry_<key>.json,
-///     tmp+rename). Serialization renders doubles as %.17g, which
-///     round-trips every finite double exactly, so a disk hit is
-///     bit-identical too.
+/// A lookup tries, in order:
+///   1. the in-process level, holding the computed object itself — a hit
+///      returns the very bits the cold call produced, without re-decoding;
+///   2. when UWBAMS_CACHE names a directory, one process-wide
+///      serve::ResultCache over it, shared with `uwbams_serve`. Codecs
+///      render doubles as %.17g, which round-trips every finite double, so
+///      a disk hit is bit-identical too. An entry that fails to decode
+///      (torn, hand-edited, stale schema) is a miss and gets overwritten;
+///   3. the computation, whose result fills both levels.
 ///
-/// UWBAMS_MEMO=0 disables the layer (every call recomputes) — the escape
-/// hatch for A/B-ing the memo itself. Per-trial Monte-Carlo
-/// characterizations (distinct mismatch seeds, borrowed AC workspaces) do
-/// NOT route through here: their keys never repeat, and a borrowed
-/// workspace is per-task solver state the canonical form refuses to hash.
-/// A second memoizable intermediate rides the same machinery: channel
-/// realization draws. Linking this TU installs the provider hook of
-/// uwb::draw_realizations (uwb cannot link core, so the wiring is a
-/// function pointer), after which every (class, params, seed, count) draw
-/// batch is served from the in-process map and, under UWBAMS_CACHE, from
-/// the disk store — warm draws are byte-identical to cold ones because the
-/// %.17g serialization round-trips every finite double exactly.
+/// UWBAMS_MEMO=0 disables every level — the escape hatch for A/B-ing the
+/// memo itself. Per-trial Monte-Carlo characterizations (distinct mismatch
+/// seeds, borrowed AC workspaces) do not route through here: their keys
+/// never repeat, and a borrowed workspace is per-task solver state the
+/// canonical form refuses to hash.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
-#include <vector>
 
+#include "base/json.hpp"
 #include "core/characterize.hpp"
-#include "uwb/channel.hpp"
 
 namespace uwbams::core::memo {
 
 /// False when UWBAMS_MEMO=0 (checked once per process).
 bool enabled();
+
+/// Disk encoding of a memoized type; `decode` throws on a bad payload.
+template <typename T>
+struct Codec {
+  std::string (*encode)(const T&);
+  T (*decode)(const std::string&);
+};
+
+namespace detail {
+using Erased = std::shared_ptr<const void>;
+Erased lookup(std::uint64_t key,
+              const std::function<Erased(const std::string&)>& decode,
+              const std::function<Erased()>& compute,
+              const std::function<std::string(const void*)>& encode);
+}  // namespace detail
+
+/// The value stored under `key`, else `compute()`. Thread-safe; computes
+/// run outside the memo's lock, so distinct keys compute concurrently.
+template <typename T, typename Compute>
+T memoize(std::uint64_t key, const Codec<T>& codec, Compute&& compute) {
+  if (!enabled()) return compute();
+  const detail::Erased value = detail::lookup(
+      key,
+      [&](const std::string& text) -> detail::Erased {
+        return std::make_shared<const T>(codec.decode(text));
+      },
+      [&]() -> detail::Erased { return std::make_shared<const T>(compute()); },
+      [&](const void* v) { return codec.encode(*static_cast<const T*>(v)); });
+  return *static_cast<const T*>(value.get());
+}
 
 /// Content key of one characterization call:
 /// {code_version, kind, options, sizing} canonical.
@@ -50,44 +75,24 @@ bool enabled();
 std::uint64_t characterize_content_key(const spice::ItdSizing& sizing,
                                        const CharacterizeOptions& options);
 
-/// characterize_itd with memoization (see file comment). Falls back to a
-/// plain call when disabled or when options borrows an AC workspace.
+/// characterize_itd through memoize. Falls back to a plain call when
+/// options borrows an AC workspace.
 ItdCharacterization characterize_itd_cached(
     const spice::ItdSizing& sizing = {},
     const CharacterizeOptions& options = {});
 
-/// Cache serialization of a characterization (schema
+/// Disk codec of a characterization (schema
 /// "uwbams-characterize-result-v1"); exposed for the round-trip tests.
 std::string characterization_to_json(const ItdCharacterization& ch);
 ItdCharacterization characterization_from_json(const std::string& text);
 
-/// Content key of one channel-draw batch:
-/// {code_version, kind, class, params, seed, count} canonical.
-std::uint64_t channel_draws_content_key(
-    uwb::ChannelClass cls, const uwb::SalehValenzuelaParams& params,
-    std::uint64_t seed, int count);
-
-/// uwb::draw_realizations_uncached with memoization — the body behind the
-/// provider hook this TU installs. Falls back to a plain draw when
-/// UWBAMS_MEMO=0.
-std::vector<uwb::ChannelRealization> channel_draws_cached(
-    uwb::ChannelClass cls, const uwb::SalehValenzuelaParams& params,
-    std::uint64_t seed, int count);
-
-/// Cache serialization of a draw batch (schema "uwbams-channel-draws-v1");
-/// exposed for the round-trip tests.
-std::string channel_draws_to_json(
-    const std::vector<uwb::ChannelRealization>& draws);
-std::vector<uwb::ChannelRealization> channel_draws_from_json(
-    const std::string& text);
-
-/// Process-wide memo statistics (tests assert hit/miss behavior). The
-/// channel_* counters track the channel-draw level separately so the
-/// characterization assertions stay exact.
+/// Process-wide memo statistics over every client.
 struct Stats {
-  std::uint64_t mem_hits = 0;
-  std::uint64_t disk_hits = 0;
-  std::uint64_t misses = 0;
+  std::uint64_t mem_hits = 0;   ///< served from the in-process level
+  std::uint64_t disk_hits = 0;  ///< decoded from the UWBAMS_CACHE store
+  std::uint64_t misses = 0;     ///< computed (undecodable entries included)
+  /// Always zero: channel draws are no longer memoized. Kept because the
+  /// benchmark's traced run (perfbench/trace.cpp) still sums them.
   std::uint64_t channel_mem_hits = 0;
   std::uint64_t channel_disk_hits = 0;
   std::uint64_t channel_misses = 0;

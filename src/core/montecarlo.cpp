@@ -291,8 +291,8 @@ std::vector<McTrial> shard_to_trials(const std::string& text, std::size_t lo,
   return out;
 }
 
-// Canonical document of every result-affecting knob of a Monte-Carlo run;
-// its content_hash keys the checkpoint so a stale checkpoint (different
+// Content key over every result-affecting knob of a Monte-Carlo run; it
+// keys the checkpoint so a stale checkpoint (different
 // config, seed, trial count or tier) is rejected instead of silently
 // mixed in. Schema uwbams.mc/2 (PR 9): built from core/canonical.hpp
 // fragments, so unlike the hand-rolled mc/1 string it covers the full
@@ -300,7 +300,8 @@ std::vector<McTrial> shard_to_trials(const std::string& text, std::size_t lo,
 // and folds in canonical::kCodeVersion, invalidating checkpoints across
 // result-affecting code changes. run_tag ("scenario|scale|tier") still
 // pins the scenario identity.
-std::string mc_content_key(const McConfig& config, const std::string& run_tag) {
+std::uint64_t mc_content_key(const McConfig& config,
+                             const std::string& run_tag) {
   base::JsonObject corner;
   corner["process"] =
       base::JsonValue(std::string(spice::to_string(config.corner.process)));
@@ -308,9 +309,6 @@ std::string mc_content_key(const McConfig& config, const std::string& run_tag) {
   corner["temp_c"] = base::JsonValue(config.corner.temp_c);
 
   base::JsonObject obj;
-  obj["code_version"] =
-      base::JsonValue(std::string(canonical::kCodeVersion));
-  obj["kind"] = base::JsonValue(std::string("uwbams.mc/2"));
   obj["run_tag"] = base::JsonValue(run_tag);
   obj["sizing"] = canonical::to_json(config.sizing);
   obj["corner"] = base::JsonValue(std::move(corner));
@@ -323,7 +321,7 @@ std::string mc_content_key(const McConfig& config, const std::string& run_tag) {
   obj["ebn0_db"] = base::JsonValue(config.ebn0_db);
   obj["ber_bits"] = base::JsonValue(base::hex_u64(config.ber_bits));
   obj["sys"] = canonical::to_json(config.sys);
-  return base::JsonValue(std::move(obj)).dump(0);
+  return canonical::content_key("uwbams.mc/2", std::move(obj));
 }
 
 }  // namespace
@@ -355,7 +353,7 @@ McResult run_monte_carlo(const McConfig& config, const YieldCriteria& criteria,
   if (!opts.checkpoint_dir.empty() && ntasks > 0)
     ckpt = std::make_unique<base::CheckpointStore>(
         opts.checkpoint_dir, opts.run_tag,
-        base::content_hash(mc_content_key(config, opts.run_tag)), ntasks,
+        mc_content_key(config, opts.run_tag), ntasks,
         opts.resume);
 
   std::vector<std::vector<McTrial>> chunks(ntasks);

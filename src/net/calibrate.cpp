@@ -8,6 +8,7 @@
 #include "base/faults.hpp"
 #include "base/random.hpp"
 #include "base/stats.hpp"
+#include "core/memo.hpp"
 #include "uwb/channel.hpp"
 
 namespace uwbams::net {
@@ -150,6 +151,34 @@ SurrogateTable calibrate_surrogate(const CalibrationConfig& cfg,
     cell.outlier_spread_m = f.outlier.count() > 1 ? f.outlier.stddev() : 0.0;
   }
   return table;
+}
+
+std::uint64_t surrogate_content_key(const CalibrationConfig& cfg,
+                                    core::IntegratorKind kind) {
+  CalibrationConfig copy = cfg;
+  base::JsonObject fields;
+  core::canonical::visit_fields(copy, core::canonical::FieldWriter{&fields});
+  fields["twr"] = core::canonical::to_json(cfg.twr);
+  fields["integrator"] = base::JsonValue(std::string(core::to_string(kind)));
+  // /2: the memoized artifact is a schema-v2 table (channel-class axis).
+  return core::canonical::content_key("uwbams-surrogate-cal/2",
+                                      std::move(fields));
+}
+
+SurrogateTable load_or_calibrate_surrogate(const CalibrationConfig& cfg,
+                                           core::IntegratorKind kind,
+                                           const base::ParallelRunner* pool,
+                                           std::optional<int>* quarantined) {
+  const core::memo::Codec<SurrogateTable> codec{
+      [](const SurrogateTable& t) { return t.to_json(); },
+      &SurrogateTable::from_json};
+  return core::memo::memoize(surrogate_content_key(cfg, kind), codec, [&] {
+    int quar = 0;
+    SurrogateTable table = calibrate_surrogate(
+        cfg, core::make_integrator_factory(kind, cfg.twr.sys), pool, &quar);
+    if (quarantined != nullptr) *quarantined = quar;
+    return table;
+  });
 }
 
 ValidationReport validate_surrogate(const SurrogateTable& table,

@@ -19,9 +19,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "base/parallel.hpp"
+#include "core/block_variant.hpp"
+#include "core/canonical.hpp"
 #include "net/surrogate.hpp"
 #include "uwb/ranging.hpp"
 
@@ -82,6 +85,20 @@ SurrogateTable calibrate_surrogate(const CalibrationConfig& cfg,
                                    const base::ParallelRunner* pool = nullptr,
                                    int* quarantined = nullptr);
 
+/// Content key of one calibration run: every visited knob of `cfg`, its
+/// full TWR operating point and the integrator kind, canonical.
+std::uint64_t surrogate_content_key(const CalibrationConfig& cfg,
+                                    core::IntegratorKind kind);
+
+/// calibrate_surrogate through core::memo under surrogate_content_key: an
+/// identical earlier calibration is returned bit-identically instead of
+/// re-running the sweep. *quarantined is set only when the calibration
+/// runs, so it stays empty on a memo hit.
+SurrogateTable load_or_calibrate_surrogate(
+    const CalibrationConfig& cfg, core::IntegratorKind kind,
+    const base::ParallelRunner* pool,
+    std::optional<int>* quarantined = nullptr);
+
 /// Held-out comparison of one cell. `checked` is false when either side
 /// has too few successful exchanges for the bounds to mean anything (the
 /// cell is skipped, not failed).
@@ -123,3 +140,20 @@ ValidationReport validate_surrogate(const SurrogateTable& table,
                                     const base::ParallelRunner* pool = nullptr);
 
 }  // namespace uwbams::net
+
+namespace uwbams::core::canonical {
+
+/// The scalar knobs of a calibration; the nested TWR operating point is
+/// keyed as a sub-object (net::surrogate_content_key).
+template <typename V>
+void visit_fields(net::CalibrationConfig& c, V&& v) {
+  v("ranges_m", c.ranges_m);
+  v("noise_psd", c.noise_psd);
+  v("dppm", c.dppm);
+  v("channel_class", c.channel_class);
+  v("samples_per_cell", c.samples_per_cell);
+  v("outlier_threshold_m", c.outlier_threshold_m);
+  v("seed", c.seed);
+}
+
+}  // namespace uwbams::core::canonical

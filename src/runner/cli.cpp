@@ -10,8 +10,8 @@
 #include <string>
 
 #include "base/faults.hpp"
+#include "base/parallel.hpp"
 #include "core/equiv.hpp"
-#include "runner/parallel.hpp"
 #include "runner/registry.hpp"
 #include "runner/sink.hpp"
 #include "spice/engine_counters.hpp"
@@ -295,7 +295,7 @@ int run_cli(int argc, const char* const* argv) {
     }
   }
 
-  ParallelRunner pool(opt.jobs);
+  base::ParallelRunner pool(opt.jobs);
   int failures = 0;
   for (const Scenario* s : selected) {
     std::printf("=== %s — %s (scale: %s, tier: %s, jobs: %d) ===\n\n",

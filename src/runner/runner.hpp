@@ -12,7 +12,7 @@
 //   }
 #pragma once
 
-#include "runner/parallel.hpp"
+#include "base/parallel.hpp"
 #include "runner/registry.hpp"
 #include "runner/scenario.hpp"
 #include "runner/sink.hpp"

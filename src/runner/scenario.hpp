@@ -15,9 +15,9 @@
 #include <utility>
 #include <vector>
 
+#include "base/parallel.hpp"
 #include "core/equiv.hpp"
 #include "core/experiment.hpp"
-#include "runner/parallel.hpp"
 #include "uwb/config.hpp"
 
 namespace uwbams::runner {
@@ -184,7 +184,7 @@ struct RunContext {
   int jobs = 1;
   std::uint64_t seed = 1;
   ResultSink& sink;
-  ParallelRunner& pool;
+  base::ParallelRunner& pool;
   core::ExactnessTier tier = core::ExactnessTier::kBitExact;
   // Fault-tolerant execution (PR 8): retry/quarantine policy for the
   // scenario's tolerant sweeps, plus the per-scenario checkpoint directory

@@ -1,5 +1,6 @@
 #include "runner/sink.hpp"
 
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <filesystem>
@@ -13,37 +14,11 @@ namespace uwbams::runner {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double v) {
-  char buf[64];
+base::JsonValue json_number(double v) {
+  if (std::isfinite(v)) return base::JsonValue(v);
+  char buf[32];
   std::snprintf(buf, sizeof buf, "%.17g", v);
-  // JSON has no inf/nan literals; encode them as strings.
-  std::string s = buf;
-  if (s.find("inf") != std::string::npos || s.find("nan") != std::string::npos)
-    return "\"" + s + "\"";
-  return s;
+  return base::JsonValue(std::string(buf));
 }
 
 }  // namespace
@@ -134,27 +109,27 @@ void ResultSink::trace(const base::Trace& t, const std::string& artifact) {
 
 void ResultSink::metric(const std::string& key, double value) {
   std::lock_guard<std::mutex> lock(mu_);
-  metrics_.emplace_back(key, json_number(value));
+  metrics_[key] = json_number(value);
 }
 
 void ResultSink::metric(const std::string& key, std::uint64_t value) {
   std::lock_guard<std::mutex> lock(mu_);
-  metrics_.emplace_back(key, std::to_string(value));
+  metrics_[key] = base::JsonValue(static_cast<double>(value));
 }
 
 void ResultSink::metric(const std::string& key, const std::string& value) {
   std::lock_guard<std::mutex> lock(mu_);
-  metrics_.emplace_back(key, "\"" + json_escape(value) + "\"");
+  metrics_[key] = base::JsonValue(value);
 }
 
 void ResultSink::perf(const std::string& key, double value) {
   std::lock_guard<std::mutex> lock(mu_);
-  perf_.emplace_back(key, json_number(value));
+  perf_[key] = json_number(value);
 }
 
 void ResultSink::perf(const std::string& key, std::uint64_t value) {
   std::lock_guard<std::mutex> lock(mu_);
-  perf_.emplace_back(key, std::to_string(value));
+  perf_[key] = base::JsonValue(static_cast<double>(value));
 }
 
 void ResultSink::raw_artifact(const std::string& filename,
@@ -175,29 +150,16 @@ void ResultSink::finish(int status, double wall_seconds) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::filesystem::path d(dir());
   std::filesystem::create_directories(d);
+  base::JsonArray artifacts(artifacts_.begin(), artifacts_.end());
+  base::JsonObject summary;
+  summary["scenario"] = base::JsonValue(scenario_);
+  summary["status"] = base::JsonValue(status);
+  summary["wall_seconds"] = json_number(wall_seconds);
+  summary["metrics"] = base::JsonValue(metrics_);
+  summary["perf"] = base::JsonValue(perf_);
+  summary["artifacts"] = base::JsonValue(std::move(artifacts));
   std::ofstream out(d / "summary.json");
-  out << "{\n";
-  out << "  \"scenario\": \"" << json_escape(scenario_) << "\",\n";
-  out << "  \"status\": " << status << ",\n";
-  out << "  \"wall_seconds\": " << json_number(wall_seconds) << ",\n";
-  out << "  \"metrics\": {";
-  for (std::size_t i = 0; i < metrics_.size(); ++i) {
-    out << (i ? "," : "") << "\n    \"" << json_escape(metrics_[i].first)
-        << "\": " << metrics_[i].second;
-  }
-  out << (metrics_.empty() ? "" : "\n  ") << "},\n";
-  out << "  \"perf\": {";
-  for (std::size_t i = 0; i < perf_.size(); ++i) {
-    out << (i ? "," : "") << "\n    \"" << json_escape(perf_[i].first)
-        << "\": " << perf_[i].second;
-  }
-  out << (perf_.empty() ? "" : "\n  ") << "},\n";
-  out << "  \"artifacts\": [";
-  for (std::size_t i = 0; i < artifacts_.size(); ++i) {
-    out << (i ? "," : "") << "\n    \"" << json_escape(artifacts_[i]) << "\"";
-  }
-  out << (artifacts_.empty() ? "" : "\n  ") << "]\n";
-  out << "}\n";
+  out << base::JsonValue(std::move(summary)).dump(2);
 }
 
 }  // namespace uwbams::runner

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/json.hpp"
 #include "base/table.hpp"
 #include "base/trace.hpp"
 
@@ -54,7 +55,8 @@ class ResultSink {
   // Waveform CSV artifact (not printed; traces are long).
   void trace(const base::Trace& t, const std::string& artifact);
 
-  // Scalar results for summary.json.
+  // Scalar results for summary.json (a repeated key keeps the last value;
+  // JSON has no inf/nan literals, so those render as strings).
   void metric(const std::string& key, double value);
   void metric(const std::string& key, std::uint64_t value);
   void metric(const std::string& key, const std::string& value);
@@ -98,9 +100,8 @@ class ResultSink {
   std::string golden_stats_;
   std::vector<std::pair<std::string, std::string>> captured_;
   std::vector<std::string> artifacts_;
-  // key -> already-rendered JSON value.
-  std::vector<std::pair<std::string, std::string>> metrics_;
-  std::vector<std::pair<std::string, std::string>> perf_;
+  base::JsonObject metrics_;
+  base::JsonObject perf_;
   std::mutex mu_;
 };
 

@@ -8,7 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "base/checkpoint.hpp"
+#include "base/json.hpp"
 
 namespace uwbams::serve {
 

@@ -7,17 +7,16 @@
 /// constant, so a hit is *definitionally* the byte-identical result of the
 /// same computation — the cache never needs to compare payloads, only
 /// keys. Used by the `uwbams_serve` request handler (whole-scenario
-/// results), the surrogate calibration (net::load_or_calibrate_surrogate)
-/// and, in-memory only, the characterization memo (core/memo.hpp).
+/// results) and as the disk level of core::memo (characterization and
+/// surrogate calibration).
 ///
 /// Disk layout (`dir` empty = memory-only):
 ///   entry_<0x%016llx>.json — the payload bytes, verbatim.
 /// Writes go through tmp-file + rename (the CheckpointStore idiom), so a
 /// kill mid-write never leaves a torn entry under the final name; a
 /// corrupted or unreadable entry is treated as a miss and overwritten by
-/// the next put. Payload validity is the caller's contract: layers that
-/// must survive hostile on-disk edits (the surrogate loader) re-validate
-/// the payload and fall back to recomputation on a parse failure.
+/// the next put. Payload validity is the caller's contract: core::memo
+/// treats a payload it cannot decode as a miss and recomputes.
 ///
 /// The disk level is size-capped LRU: UWBAMS_CACHE_MAX_MB (or
 /// set_disk_max_bytes) bounds the summed entry size; a put that pushes the

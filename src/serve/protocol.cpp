@@ -3,7 +3,6 @@
 #include <cmath>
 #include <set>
 
-#include "base/checkpoint.hpp"
 #include "core/canonical.hpp"
 
 namespace uwbams::serve {
@@ -130,13 +129,11 @@ std::string Request::to_line() const {
 
 std::uint64_t Request::content_key() const {
   JsonObject obj;
-  obj["code_version"] = JsonValue(std::string(core::canonical::kCodeVersion));
-  obj["kind"] = JsonValue(std::string("uwbams-serve-run/1"));
   obj["scenario"] = JsonValue(scenario);
   obj["scale"] = JsonValue(std::string(runner::to_string(scale)));
   obj["seed"] = JsonValue(base::hex_u64(seed));
   obj["tier"] = JsonValue(std::string(core::to_string(tier)));
-  return core::canonical::key_of(JsonValue(std::move(obj)));
+  return core::canonical::content_key("uwbams-serve-run/1", std::move(obj));
 }
 
 std::string error_line(const std::string& message) {

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <exception>
 
-#include "base/checkpoint.hpp"
 #include "base/json.hpp"
 #include "core/canonical.hpp"
 #include "core/equiv.hpp"

@@ -197,33 +197,14 @@ ChannelRealization generate_sv(base::Rng& rng,
   return cr;
 }
 
-namespace {
-// The installed memoizing provider (core/memo.cpp's registrar). A plain
-// zero-initialized function pointer: no static-initialization-order hazard.
-ChannelDrawProvider g_channel_draw_provider = nullptr;
-}  // namespace
-
-void set_channel_draw_provider(ChannelDrawProvider fn) {
-  g_channel_draw_provider = fn;
-}
-
-std::vector<ChannelRealization> draw_realizations_uncached(
-    ChannelClass cls, const SalehValenzuelaParams& params, std::uint64_t seed,
-    int count) {
-  (void)cls;  // the params carry the class; cls keys the memo document
+std::vector<ChannelRealization> draw_realizations(
+    ChannelClass /*cls*/, const SalehValenzuelaParams& params,
+    std::uint64_t seed, int count) {
   base::Rng rng(seed);
   std::vector<ChannelRealization> out;
   out.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) out.push_back(generate_sv(rng, params));
   return out;
-}
-
-std::vector<ChannelRealization> draw_realizations(
-    ChannelClass cls, const SalehValenzuelaParams& params, std::uint64_t seed,
-    int count) {
-  if (g_channel_draw_provider != nullptr)
-    return g_channel_draw_provider(cls, params, seed, count);
-  return draw_realizations_uncached(cls, params, seed, count);
 }
 
 double path_loss_db(double distance_m, double pl0_db, double exponent) {

@@ -92,28 +92,11 @@ inline ChannelRealization generate_cm1(base::Rng& rng,
   return generate_sv(rng, params);
 }
 
-/// --- memoizable multi-realization draw -----------------------------------
-/// `draw_realizations(cls, params, seed, count)` is the one entry point the
-/// link-level code uses for channel draws keyed by (params, seed): it seeds
-/// a fresh Rng with `seed` and draws `count` realizations sequentially —
-/// bit-identical to the historical `Rng chan_rng(seed); generate_cm1(...)
-/// x count` pattern. When core::memo is linked it installs a provider that
-/// serves warm byte-identical draws from the UWBAMS_CACHE store; without a
-/// provider (or with caching disabled) the uncached path runs. uwb cannot
-/// link core (layering), hence the hook.
-using ChannelDrawProvider = std::vector<ChannelRealization> (*)(
-    ChannelClass cls, const SalehValenzuelaParams& params, std::uint64_t seed,
-    int count);
-
-/// Installs the memoizing provider (nullptr restores the uncached path).
-void set_channel_draw_provider(ChannelDrawProvider fn);
-
-/// The raw draw: fresh Rng(seed), `count` sequential generate_sv calls.
-std::vector<ChannelRealization> draw_realizations_uncached(
-    ChannelClass cls, const SalehValenzuelaParams& params, std::uint64_t seed,
-    int count);
-
-/// Provider-routed draw (falls back to the uncached path).
+/// The multi-realization draw the link-level code uses for channel draws
+/// keyed by (params, seed): a fresh Rng(seed) and `count` sequential
+/// generate_sv calls — bit-identical to the historical
+/// `Rng chan_rng(seed); generate_cm1(...) x count` pattern. `cls` names the
+/// class `params` describes; the draw itself reads only `params`.
 std::vector<ChannelRealization> draw_realizations(
     ChannelClass cls, const SalehValenzuelaParams& params, std::uint64_t seed,
     int count);

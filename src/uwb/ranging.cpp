@@ -76,8 +76,8 @@ TwrIteration TwoWayRanging::run_iteration(std::uint64_t channel_seed,
   if (sys.multipath) {
     // Both directions' realizations come from one sequential stream seeded
     // by channel_seed — draw_realizations reproduces the historical
-    // `Rng chan_rng(seed); generate_cm1(chan_rng) x 2` bit for bit, and
-    // routes through the UWBAMS_CACHE memo when core::memo is linked.
+    // `Rng chan_rng(seed); generate_cm1(chan_rng) x 2` bit for bit. A draw
+    // costs tens of microseconds, so it is recomputed rather than memoized.
     const auto reals = draw_realizations(
         sys.channel_class, channel_class_params(sys.channel_class),
         channel_seed, 2);

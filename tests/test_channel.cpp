@@ -1,5 +1,5 @@
 // Tests for the channel-environment axis: the CM1..CM4 class table, the
-// pinned CM1 identity, the memoizable draw_realizations entry point and the
+// pinned CM1 identity, the draw_realizations entry point and the
 // interference sources that ride the same SystemConfig.
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "ams/kernel.hpp"
 #include "base/random.hpp"
 #include "base/stats.hpp"
-#include "core/memo.hpp"
 #include "uwb/channel.hpp"
 #include "uwb/frontend.hpp"
 #include "uwb/interference.hpp"
@@ -97,11 +96,11 @@ TEST(ChannelDraws, Cm1GenerateSvMatchesHistoricalGenerateCm1) {
   }
 }
 
-TEST(ChannelDraws, UncachedMatchesHistoricalSequentialPattern) {
-  // draw_realizations_uncached(seed, n) must be bit-identical to the
-  // pattern every pre-refactor call site used: one sequential Rng.
+TEST(ChannelDraws, DrawMatchesHistoricalSequentialPattern) {
+  // draw_realizations(seed, n) must be bit-identical to the pattern every
+  // pre-refactor call site used: one sequential Rng.
   const std::uint64_t seed = 0xfeedULL;
-  const auto drawn = draw_realizations_uncached(
+  const auto drawn = draw_realizations(
       ChannelClass::kCm1, channel_class_params(ChannelClass::kCm1), seed, 3);
   ASSERT_EQ(drawn.size(), 3u);
   base::Rng rng(seed);
@@ -109,52 +108,6 @@ TEST(ChannelDraws, UncachedMatchesHistoricalSequentialPattern) {
     EXPECT_TRUE(same_taps(drawn[static_cast<std::size_t>(i)],
                           generate_cm1(rng)))
         << "draw " << i;
-}
-
-TEST(ChannelDraws, ProviderPathIsBitIdenticalToUncached) {
-  // This test binary links core, whose memo installs the provider hook; a
-  // warm (memoized) draw must be byte-identical to the raw one.
-  core::memo::reset_for_tests();
-  const auto params = channel_class_params(ChannelClass::kCm2);
-  const auto cold = draw_realizations(ChannelClass::kCm2, params, 99, 2);
-  const auto warm = draw_realizations(ChannelClass::kCm2, params, 99, 2);
-  const auto raw = draw_realizations_uncached(ChannelClass::kCm2, params, 99, 2);
-  ASSERT_EQ(cold.size(), 2u);
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    EXPECT_TRUE(same_taps(cold[i], raw[i]));
-    EXPECT_TRUE(same_taps(warm[i], raw[i]));
-  }
-  if (core::memo::enabled()) {
-    const auto st = core::memo::stats();
-    EXPECT_EQ(st.channel_misses, 1u);
-    EXPECT_EQ(st.channel_mem_hits, 1u);
-  }
-}
-
-TEST(ChannelDraws, MemoSerializationRoundTripsExactly) {
-  const auto draws = draw_realizations_uncached(
-      ChannelClass::kCm4, channel_class_params(ChannelClass::kCm4), 31, 2);
-  const auto back =
-      core::memo::channel_draws_from_json(core::memo::channel_draws_to_json(draws));
-  ASSERT_EQ(back.size(), draws.size());
-  for (std::size_t i = 0; i < draws.size(); ++i)
-    EXPECT_TRUE(same_taps(back[i], draws[i]));
-}
-
-TEST(ChannelDraws, ContentKeySeparatesEveryKnob) {
-  const auto params = channel_class_params(ChannelClass::kCm1);
-  const auto key = core::memo::channel_draws_content_key(
-      ChannelClass::kCm1, params, 1, 2);
-  EXPECT_NE(key, core::memo::channel_draws_content_key(ChannelClass::kCm2,
-                                                       params, 1, 2));
-  EXPECT_NE(key, core::memo::channel_draws_content_key(ChannelClass::kCm1,
-                                                       params, 2, 2));
-  EXPECT_NE(key, core::memo::channel_draws_content_key(ChannelClass::kCm1,
-                                                       params, 1, 3));
-  auto tweaked = params;
-  tweaked.ray_decay += 1e-12;
-  EXPECT_NE(key, core::memo::channel_draws_content_key(ChannelClass::kCm1,
-                                                       tweaked, 1, 2));
 }
 
 // ------------------------------------------------- per-class realizations

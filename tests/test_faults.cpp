@@ -281,10 +281,9 @@ TEST(ParallelRunner, ForEachAggregatesMultipleFailures) {
 
 // ------------------------------------------------------- checkpoint journal
 
-TEST(Checkpoint, HexAndHashHelpers) {
+TEST(Checkpoint, HexAndShardNameHelpers) {
   EXPECT_EQ(base::hex_u64(0), "0x0000000000000000");
   EXPECT_EQ(base::hex_u64(0xdeadbeefULL), "0x00000000deadbeef");
-  EXPECT_EQ(base::content_hash("abc"), base::fnv1a64("abc"));
   EXPECT_EQ(base::CheckpointStore::shard_name(7), "shard_000007.json");
 }
 

@@ -42,7 +42,7 @@ int run_scenario(const std::string& name, runner::ResultSink* sink) {
     ADD_FAILURE() << "scenario '" << name << "' is not registered";
     return -1;
   }
-  runner::ParallelRunner pool(1);
+  base::ParallelRunner pool(1);
   runner::RunContext ctx{name, runner::Scale::kFast, pool.jobs(),
                          1,    *sink,               pool,
                          core::ExactnessTier::kBitExact};

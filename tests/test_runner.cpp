@@ -23,7 +23,7 @@
 namespace {
 
 using namespace uwbams;
-using runner::ParallelRunner;
+using base::ParallelRunner;
 using runner::ResultSink;
 using runner::RunContext;
 using runner::Scale;

@@ -8,22 +8,31 @@
 //     this file runs under ASan+UBSan in CI;
 //   * ScenarioService end to end (in-process, no sockets): cold compute,
 //     warm byte-identical cache hit, failed runs not cached, control ops;
-//   * the cache clients: the characterize memo (core/memo.hpp) and the
-//     surrogate calibration cache (net/surrogate_cache.hpp) return
-//     bit-identical results on a repeat and key on every knob.
+//   * the memo clients (core/memo.hpp): characterization and surrogate
+//     calibration return bit-identical results on a repeat and key on
+//     every knob. The memo's process-wide switches are read once per
+//     process, so CTest runs this binary twice more: MemoOff.* under
+//     UWBAMS_MEMO=0 and MemoDisk.* under UWBAMS_CACHE (both skip in the
+//     plain run).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "base/json.hpp"
 #include "base/parallel.hpp"
+#include "core/canonical.hpp"
 #include "core/memo.hpp"
-#include "net/surrogate_cache.hpp"
+#include "net/calibrate.hpp"
 #include "runner/registry.hpp"
 #include "runner/runner.hpp"
 #include "serve/cache.hpp"
@@ -397,15 +406,24 @@ TEST(Memo, KeysOnEveryKnobAndCodeVersion) {
             key);
 }
 
-TEST(Memo, RepeatCharacterizationIsAMemoryHitAndBitIdentical) {
-  core::memo::reset_for_tests();
-  // A deliberately coarse, transient-free setup keeps this test fast; the
-  // memo key covers these knobs, so the coarse entries cannot leak into
-  // a full-fidelity caller.
+namespace {
+
+// A deliberately coarse, transient-free setup keeps the memo tests fast;
+// the memo key covers these knobs, so the coarse entries cannot leak into
+// a full-fidelity caller.
+core::CharacterizeOptions coarse_characterization() {
   core::CharacterizeOptions opts;
   opts.points_per_decade = 2;
   opts.measure_linear_range = false;
   opts.measure_slew = false;
+  return opts;
+}
+
+}  // namespace
+
+TEST(Memo, RepeatCharacterizationIsAMemoryHitAndBitIdentical) {
+  core::memo::reset_for_tests();
+  const core::CharacterizeOptions opts = coarse_characterization();
   const auto cold = core::memo::characterize_itd_cached({}, opts);
   EXPECT_EQ(core::memo::stats().misses, 1u);
   const auto warm = core::memo::characterize_itd_cached({}, opts);
@@ -424,9 +442,60 @@ TEST(Memo, RepeatCharacterizationIsAMemoryHitAndBitIdentical) {
   core::memo::reset_for_tests();
 }
 
-// -------------------------------------------------------- surrogate cache
+TEST(Memo, ConcurrentLookupsAgreeAndAreCounted) {
+  core::memo::reset_for_tests();
+  const core::memo::Codec<std::string> codec{
+      [](const std::string& v) { return v; },
+      [](const std::string& text) { return text; }};
+  constexpr int kThreads = 8, kCalls = 50, kKeys = 10;
+  std::atomic<int> computes{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int c = 0; c < kCalls; ++c) {
+        const int i = (t + c) % kKeys;
+        base::JsonObject fields;
+        fields["i"] = base::JsonValue(i);
+        const std::string want = "value-" + std::to_string(i);
+        const std::string got = core::memo::memoize(
+            core::canonical::content_key("uwbams-memo-unit/1", fields), codec,
+            [&] {
+              ++computes;
+              return want;
+            });
+        if (got != want) ++wrong;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(wrong.load(), 0);
+  const auto st = core::memo::stats();
+  EXPECT_EQ(st.mem_hits + st.misses,
+            static_cast<std::uint64_t>(kThreads * kCalls));
+  EXPECT_EQ(st.misses, static_cast<std::uint64_t>(computes.load()));
+  EXPECT_GE(computes.load(), kKeys);
+  core::memo::reset_for_tests();
+}
 
-TEST(SurrogateCache, KeysOnEveryKnob) {
+// ------------------------------------------------------- surrogate memo
+
+namespace {
+
+// A one-cell, two-sample calibration: cheap enough to run several times.
+net::CalibrationConfig tiny_calibration(std::uint64_t seed) {
+  net::CalibrationConfig cfg;
+  cfg.ranges_m = {5.0};
+  cfg.noise_psd = {8e-19};
+  cfg.dppm = {0.0};
+  cfg.samples_per_cell = 2;
+  cfg.seed = seed;  // a key no other test warms
+  return cfg;
+}
+
+}  // namespace
+
+TEST(SurrogateMemo, KeysOnEveryKnob) {
   net::CalibrationConfig cfg;
   const std::uint64_t key =
       net::surrogate_content_key(cfg, core::IntegratorKind::kIdeal);
@@ -455,26 +524,107 @@ TEST(SurrogateCache, KeysOnEveryKnob) {
   EXPECT_NE(net::surrogate_content_key(c5, core::IntegratorKind::kIdeal), key);
 }
 
-TEST(SurrogateCache, RepeatCalibrationIsServedFromTheCache) {
-  net::CalibrationConfig cfg;
-  cfg.ranges_m = {5.0};
-  cfg.noise_psd = {8e-19};
-  cfg.dppm = {0.0};
-  cfg.samples_per_cell = 2;
-  cfg.seed = 424242;  // a key no other test warms
+TEST(SurrogateMemo, RepeatCalibrationIsAMemoHit) {
+  const net::CalibrationConfig cfg = tiny_calibration(424242);
   base::ParallelRunner pool(2);
 
-  int quar = -7;
-  std::string source;
+  std::optional<int> quar;
   const auto cold = net::load_or_calibrate_surrogate(
-      cfg, core::IntegratorKind::kIdeal, &pool, &quar, &source);
-  EXPECT_GE(quar, 0);
-  EXPECT_EQ(source, "inline calibration");
+      cfg, core::IntegratorKind::kIdeal, &pool, &quar);
+  ASSERT_TRUE(quar.has_value());  // the calibration ran
+  EXPECT_GE(*quar, 0);
 
+  quar.reset();
   const auto warm = net::load_or_calibrate_surrogate(
-      cfg, core::IntegratorKind::kIdeal, &pool, &quar, &source);
-  EXPECT_EQ(quar, -1);  // nothing ran
-  EXPECT_NE(source.find("cache"), std::string::npos);
-  EXPECT_TRUE(warm == cold);               // table-level equality
+      cfg, core::IntegratorKind::kIdeal, &pool, &quar);
+  EXPECT_FALSE(quar.has_value());  // nothing ran
+  EXPECT_TRUE(warm == cold);                  // table-level equality
   EXPECT_EQ(warm.to_json(), cold.to_json());  // byte-level equality
+}
+
+// ---------------------------------------------- memo under UWBAMS_MEMO=0
+
+TEST(MemoOff, EveryCallComputes) {
+  if (core::memo::enabled()) GTEST_SKIP() << "needs UWBAMS_MEMO=0";
+  const net::CalibrationConfig cfg = tiny_calibration(515151);
+  base::ParallelRunner pool(2);
+  for (int call = 0; call < 2; ++call) {
+    std::optional<int> quar;
+    net::load_or_calibrate_surrogate(cfg, core::IntegratorKind::kIdeal, &pool,
+                                     &quar);
+    EXPECT_TRUE(quar.has_value()) << "call " << call << " did not calibrate";
+  }
+  const core::CharacterizeOptions opts = coarse_characterization();
+  core::memo::characterize_itd_cached({}, opts);
+  core::memo::characterize_itd_cached({}, opts);
+  const auto st = core::memo::stats();
+  EXPECT_EQ(st.mem_hits + st.disk_hits + st.misses, 0u);
+}
+
+// ------------------------------------------ memo over a UWBAMS_CACHE store
+
+namespace {
+
+// Overwrites the store entry of `key` with a torn document, the state a
+// copy interrupted mid-write or a hand edit leaves behind.
+void tear_entry(const std::string& dir, std::uint64_t key) {
+  std::ofstream(serve::ResultCache(dir, 1).entry_path(key), std::ios::trunc)
+      << "{\"schema\": \"uwbams-";
+}
+
+std::string read_entry(const std::string& dir, std::uint64_t key) {
+  std::ifstream in(serve::ResultCache(dir, 1).entry_path(key));
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+}  // namespace
+
+TEST(MemoDisk, TornCharacterizationEntryIsRecomputed) {
+  const char* dir = std::getenv("UWBAMS_CACHE");
+  if (dir == nullptr || !core::memo::enabled())
+    GTEST_SKIP() << "needs UWBAMS_CACHE";
+  const core::CharacterizeOptions opts = coarse_characterization();
+  const std::uint64_t key = core::memo::characterize_content_key({}, opts);
+  tear_entry(dir, key);
+  core::memo::reset_for_tests();
+
+  const auto healed = core::memo::characterize_itd_cached({}, opts);
+  EXPECT_EQ(core::memo::stats().misses, 1u);
+  const auto direct = core::characterize_itd({}, opts);
+  EXPECT_EQ(core::memo::characterization_to_json(healed),
+            core::memo::characterization_to_json(direct));
+
+  // The recompute overwrote the torn entry, which now decodes.
+  EXPECT_EQ(read_entry(dir, key), core::memo::characterization_to_json(direct));
+  core::memo::reset_for_tests();
+  const auto warm = core::memo::characterize_itd_cached({}, opts);
+  EXPECT_EQ(core::memo::stats().disk_hits, 1u);
+  EXPECT_EQ(core::memo::characterization_to_json(warm),
+            core::memo::characterization_to_json(direct));
+}
+
+TEST(MemoDisk, TornSurrogateEntryIsRecomputed) {
+  const char* dir = std::getenv("UWBAMS_CACHE");
+  if (dir == nullptr || !core::memo::enabled())
+    GTEST_SKIP() << "needs UWBAMS_CACHE";
+  const net::CalibrationConfig cfg = tiny_calibration(626262);
+  base::ParallelRunner pool(2);
+  const std::uint64_t key =
+      net::surrogate_content_key(cfg, core::IntegratorKind::kIdeal);
+  tear_entry(dir, key);
+  core::memo::reset_for_tests();
+
+  std::optional<int> quar;
+  const auto healed = net::load_or_calibrate_surrogate(
+      cfg, core::IntegratorKind::kIdeal, &pool, &quar);
+  EXPECT_TRUE(quar.has_value());  // the torn entry was a miss
+  EXPECT_EQ(read_entry(dir, key), healed.to_json());
+
+  core::memo::reset_for_tests();
+  quar.reset();
+  const auto warm = net::load_or_calibrate_surrogate(
+      cfg, core::IntegratorKind::kIdeal, &pool, &quar);
+  EXPECT_FALSE(quar.has_value());  // the rewritten entry decodes
+  EXPECT_EQ(core::memo::stats().disk_hits, 1u);
+  EXPECT_EQ(warm.to_json(), healed.to_json());
 }

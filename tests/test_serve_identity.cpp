@@ -23,10 +23,11 @@
 #include <string>
 #include <vector>
 
-#include "base/checkpoint.hpp"
 #include "base/faults.hpp"
 #include "base/json.hpp"
 #include "core/canonical.hpp"
+#include "core/memo.hpp"
+#include "net/calibrate.hpp"
 #include "runner/registry.hpp"
 #include "runner/spec_json.hpp"
 #include "serve/protocol.hpp"
@@ -159,6 +160,7 @@ TEST(CanonicalCompleteness, FieldCountAndSizeofPins) {
   EXPECT_EQ(field_count<spice::TransientOptions>(), 15);
   EXPECT_EQ(field_count<core::CharacterizeOptions>(), 7);
   EXPECT_EQ(field_count<uwb::TwrConfig>(), 5);
+  EXPECT_EQ(field_count<net::CalibrationConfig>(), 7);
 
   EXPECT_EQ(sizeof(uwb::ClockConfig), 40u);
   EXPECT_EQ(sizeof(uwb::SystemConfig), 416u);
@@ -170,6 +172,7 @@ TEST(CanonicalCompleteness, FieldCountAndSizeofPins) {
   EXPECT_EQ(sizeof(spice::TransientOptions), 200u);
   EXPECT_EQ(sizeof(core::CharacterizeOptions), 256u);
   EXPECT_EQ(sizeof(uwb::TwrConfig), 536u);
+  EXPECT_EQ(sizeof(net::CalibrationConfig), 656u);
 }
 
 // --------------------------------------------------------- mutation suite
@@ -201,6 +204,12 @@ TEST(CanonicalMutation, EveryFieldFlipsTheKey) {
       [](const core::CharacterizeOptions& c) { return canon::to_json(c); });
   expect_every_field_keyed<uwb::TwrConfig>(
       "TwrConfig", [](const uwb::TwrConfig& c) { return canon::to_json(c); });
+  // The surrogate key is CalibrationConfig's only canonical rendering.
+  expect_every_field_keyed<net::CalibrationConfig>(
+      "CalibrationConfig", [](const net::CalibrationConfig& c) {
+        return base::JsonValue(base::hex_u64(
+            net::surrogate_content_key(c, core::IntegratorKind::kIdeal)));
+      });
 }
 
 TEST(CanonicalMutation, EveryFieldRoundTrips) {
@@ -261,6 +270,12 @@ TEST(CanonicalMutation, NestedStructsFlipTheParentKey) {
   const std::uint64_t ch_key = canon::key_of(canon::to_json(ch));
   ch.transient.op.max_iterations += 1;
   EXPECT_NE(canon::key_of(canon::to_json(ch)), ch_key);
+
+  net::CalibrationConfig cal;
+  const auto kind = core::IntegratorKind::kIdeal;
+  const std::uint64_t cal_key = net::surrogate_content_key(cal, kind);
+  cal.twr.clock_a.ppm += 1.5;
+  EXPECT_NE(net::surrogate_content_key(cal, kind), cal_key);
 }
 
 // ------------------------------------------------------------- strictness
@@ -434,4 +449,11 @@ TEST(ReferenceVectors, PinnedContentKeys) {
   serve::Request req;
   req.scenario = "pinned";
   EXPECT_EQ(base::hex_u64(req.content_key()), "0xe63c206e5b8eddb1");
+  // The memo keys of the default configurations: existing UWBAMS_CACHE
+  // stores keep hitting while these hold.
+  EXPECT_EQ(base::hex_u64(core::memo::characterize_content_key({}, {})),
+            "0x12724a3f4b65ee52");
+  EXPECT_EQ(base::hex_u64(net::surrogate_content_key(
+                net::CalibrationConfig{}, core::IntegratorKind::kIdeal)),
+            "0x4d9112688efd0c57");
 }
