@@ -1,5 +1,5 @@
 // bench_kernel — batched behavioral-kernel microbenchmark tracking the
-// block-vectorized dataflow path (BENCH_kernel.json).
+// block-vectorized dataflow path (summary.json metrics).
 //
 // Three standardized measurements:
 //
@@ -94,24 +94,10 @@ ChainResult run_chain(std::uint64_t seed, int payload_bits, int capacity) {
   return r;
 }
 
-std::string hist_json(const std::vector<std::uint64_t>& hist) {
-  std::string out = "{";
-  bool first = true;
-  for (std::size_t n = 0; n < hist.size(); ++n) {
-    if (hist[n] == 0) continue;
-    if (!first) out += ", ";
-    out += "\"" + std::to_string(n) + "\": " + std::to_string(hist[n]);
-    first = false;
-  }
-  out += "}";
-  return out;
-}
-
 }  // namespace
 
 REGISTER_SCENARIO(bench_kernel, "bench",
-                  "Batched behavioral-kernel microbenchmark "
-                  "(BENCH_kernel.json)") {
+                  "Batched behavioral-kernel microbenchmark") {
   const int payload_bits = ctx.pick(400, 2000, 8000);
 
   // Alternate scalar/batched and keep the faster pass of each: wall-clock
@@ -204,25 +190,11 @@ REGISTER_SCENARIO(bench_kernel, "bench",
   ctx.sink.metric("ber_sweep_serial_seconds", sweep_serial);
   ctx.sink.metric("ber_sweep_parallel_seconds", sweep_fanned);
 
-  char buf[1024];
-  std::snprintf(buf, sizeof buf,
-                "{\n"
-                "  \"behavioral_scalar_samples_per_second\": %.1f,\n"
-                "  \"behavioral_batched_samples_per_second\": %.1f,\n"
-                "  \"batched_speedup\": %.3f,\n"
-                "  \"forced_scalar\": %s,\n"
-                "  \"mean_batch_samples\": %.2f,\n"
-                "  \"ber_sweep_serial_seconds\": %.4f,\n"
-                "  \"ber_sweep_parallel_seconds\": %.4f,\n"
-                "  \"ber_sweep_jobs\": %d,\n"
-                "  \"batch_histogram\": ",
-                scalar.samples_per_second, batched.samples_per_second,
-                speedup, forced_scalar ? "true" : "false", mean_batch,
-                sweep_serial, sweep_fanned, ctx.jobs);
-  std::string json(buf);
-  json += hist_json(batched.histogram);
-  json += "\n}\n";
-  ctx.sink.raw_artifact("BENCH_kernel.json", json);
+  ctx.sink.metric("forced_scalar", std::uint64_t{forced_scalar});
+  for (std::size_t n = 0; n < batched.histogram.size(); ++n)
+    if (batched.histogram[n] != 0)
+      ctx.sink.metric("batch_histogram." + std::to_string(n),
+                      batched.histogram[n]);
 
   // Regression gate: batching must beat the per-sample path on the
   // behavioral chain (skipped under UWBAMS_FORCE_SCALAR, where both runs

@@ -45,25 +45,16 @@ const char* class_name(double code) {
       static_cast<uwb::ChannelClass>(static_cast<int>(code)));
 }
 
-// Shared BENCH artifact of the coex group: one JSON block per scenario run.
-void bench_artifact(runner::RunContext& ctx, const char* scenario,
-                    std::size_t points, std::uint64_t bits,
-                    std::uint64_t errors, double wall) {
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "{\n"
-                "  \"scenario\": \"%s\",\n"
-                "  \"points\": %zu,\n"
-                "  \"bits\": %llu,\n"
-                "  \"errors\": %llu,\n"
-                "  \"wall_seconds\": %.4f,\n"
-                "  \"bits_per_second\": %.1f,\n"
-                "  \"jobs\": %d\n"
-                "}\n",
-                scenario, points, static_cast<unsigned long long>(bits),
-                static_cast<unsigned long long>(errors), wall,
-                static_cast<double>(bits) / std::max(wall, 1e-9), ctx.jobs);
-  ctx.sink.raw_artifact("BENCH_coex.json", buf);
+// Throughput metrics shared by the coex group (summary.json; the wall
+// clock never reaches an artifact, so served results stay byte-stable).
+void throughput_metrics(runner::RunContext& ctx, std::size_t points,
+                        std::uint64_t bits, std::uint64_t errors,
+                        double wall) {
+  ctx.sink.metric("points", static_cast<std::uint64_t>(points));
+  ctx.sink.metric("bits", bits);
+  ctx.sink.metric("errors", errors);
+  ctx.sink.metric("bits_per_second",
+                  static_cast<double>(bits) / std::max(wall, 1e-9));
 }
 
 // Two-sided significance guard: fails only when `worse` measured
@@ -143,7 +134,7 @@ REGISTER_SCENARIO_TIERS(coex_ber, "coex",
     }
   ctx.sink.table(t, "points");
   ctx.sink.metric("quarantined", quarantined);
-  bench_artifact(ctx, "coex_ber", flat.size(), bits, errors, wall);
+  throughput_metrics(ctx, flat.size(), bits, errors, wall);
 
   core::StatArtifact stats(ctx.scenario_name, runner::to_string(ctx.scale));
   for (std::size_t k = 0; k < classes.size(); ++k)
@@ -228,7 +219,7 @@ REGISTER_SCENARIO_TIERS(multiuser_ber, "coex",
   }
   ctx.sink.table(t, "points");
   ctx.sink.metric("quarantined", quarantined);
-  bench_artifact(ctx, "multiuser_ber", flat.size(), bits, errors, wall);
+  throughput_metrics(ctx, flat.size(), bits, errors, wall);
 
   core::StatArtifact stats(ctx.scenario_name, runner::to_string(ctx.scale));
   for (std::size_t i = 0; i < piconets.size(); ++i) {
@@ -310,7 +301,7 @@ REGISTER_SCENARIO_TIERS(channel_class_sweep, "coex",
     }
   ctx.sink.table(t, "points");
   ctx.sink.metric("quarantined", quarantined);
-  bench_artifact(ctx, "channel_class_sweep", flat.size(), bits, errors, wall);
+  throughput_metrics(ctx, flat.size(), bits, errors, wall);
 
   core::StatArtifact stats(ctx.scenario_name, runner::to_string(ctx.scale));
   for (std::size_t k = 0; k < classes.size(); ++k)

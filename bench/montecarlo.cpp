@@ -10,14 +10,12 @@
 //                 BER chain — the corner spread of the paper's Fig. 6;
 //   yield_report  the full closure: §4 constraint extraction -> nominal
 //                 characterization -> corner-sampled mismatch Monte-Carlo
-//                 -> pass/fail per trial + yield summary (yield.json,
-//                 BENCH_mc.json).
+//                 -> pass/fail per trial + yield summary (yield.json).
 //
 // All three fan their independent trials over ctx.pool; every random input
 // of trial i derives from derive_seed(seed, i) alone, so artifacts are
 // bit-identical for any --jobs value (CI byte-compares trials.csv).
 #include <chrono>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -259,7 +257,7 @@ REGISTER_SCENARIO_TIERS(corner_ber, "mc",
 
 REGISTER_SCENARIO_TIERS(yield_report, "mc",
                         "Yield sign-off: corner+mismatch MC vs the §4 "
-                        "constraints (BENCH_mc.json)",
+                        "constraints",
                         "12|100|400 trials") {
   core::McConfig cfg;
   cfg.trials = ctx.pick(12, 100, 400);
@@ -312,6 +310,7 @@ REGISTER_SCENARIO_TIERS(yield_report, "mc",
 
   emit_summary_metrics(ctx, mc);
   ctx.sink.metric("trials_per_second", s.trials / wall);
+  ctx.sink.metric("with_ber", std::uint64_t{cfg.with_ber});
   ctx.sink.raw_artifact("trials.csv", core::trials_to_csv(mc.trials));
   ctx.sink.raw_artifact("yield.json", core::summary_to_json(mc));
 
@@ -341,20 +340,6 @@ REGISTER_SCENARIO_TIERS(yield_report, "mc",
                      1e-9);
     ctx.sink.golden_stats(stats.to_json());
   }
-
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "{\n"
-                "  \"trials\": %d,\n"
-                "  \"wall_seconds\": %.4f,\n"
-                "  \"trials_per_second\": %.3f,\n"
-                "  \"yield\": %.6f,\n"
-                "  \"with_ber\": %s,\n"
-                "  \"jobs\": %d\n"
-                "}\n",
-                s.trials, wall, s.trials / wall, s.yield,
-                cfg.with_ber ? "true" : "false", ctx.jobs);
-  ctx.sink.raw_artifact("BENCH_mc.json", buf);
 
   // Gate: a healthy process must not collapse. The nominal cell clears
   // every criterion with wide margin, so a sub-50% yield signals a broken

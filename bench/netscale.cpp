@@ -9,7 +9,7 @@
 //                     two scenarios can load via UWBAMS_SURROGATE.
 //   netscale_static   event-driven ranging network at 100 / 10,000 / 20,000
 //                     nodes: per-round per-tag multilateration over
-//                     surrogate draws (BENCH_netscale.json).
+//                     surrogate draws.
 //   netscale_mobility waypoint-mobile tags + anchor dropout + packet loss:
 //                     the fault-injection variant.
 //
@@ -156,30 +156,12 @@ void report_rounds(runner::RunContext& ctx, const net::NetScaleConfig& cfg,
   ctx.sink.metric("rmse_m", res.overall_rmse_m);
   ctx.sink.metric("toa_draws", res.total_draws);
   ctx.sink.metric("tags_quarantined", res.quarantined);
+  ctx.sink.metric("engine_seconds", wall);
+  ctx.sink.metric("tag_rounds_per_second", tag_rounds / wall);
   if (res.quarantined > 0)
     ctx.sink.notef("%llu tag measurement(s) quarantined after retries "
                    "(kept as unsolved rows)",
                    static_cast<unsigned long long>(res.quarantined));
-
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "{\n"
-                "  \"nodes\": %d,\n"
-                "  \"anchors\": %zu,\n"
-                "  \"tags\": %d,\n"
-                "  \"rounds\": %d,\n"
-                "  \"wall_seconds\": %.4f,\n"
-                "  \"tag_rounds_per_second\": %.1f,\n"
-                "  \"availability\": %.6f,\n"
-                "  \"rmse_m\": %.6f,\n"
-                "  \"toa_draws\": %llu,\n"
-                "  \"jobs\": %d\n"
-                "}\n",
-                eng.node_count(), eng.anchors().size(), cfg.tag_count,
-                cfg.rounds, wall, tag_rounds / wall,
-                res.overall_availability, res.overall_rmse_m,
-                static_cast<unsigned long long>(res.total_draws), ctx.jobs);
-  ctx.sink.raw_artifact("BENCH_netscale.json", buf);
 }
 
 }  // namespace
@@ -323,7 +305,7 @@ REGISTER_SCENARIO_TIERS(surrogate_fit, "netscale",
 
 REGISTER_SCENARIO_TIERS(netscale_static, "netscale",
                         "Event-driven ranging network over the surrogate at "
-                        "100 | 10k | 20k static nodes (BENCH_netscale.json)",
+                        "100 | 10k | 20k static nodes",
                         "100|10k|20k nodes x 4|5|6 rounds") {
   net::SurrogateTable table;
   std::string source;

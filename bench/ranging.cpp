@@ -7,14 +7,13 @@
 //                   the ppm-compensated variant that removes it again.
 //   ranging_network N-node TWR network over independent CM1 pair channels
 //                   with per-node clock offsets; least-squares 2-D position
-//                   solve over the pairwise estimates (BENCH_ranging.json).
+//                   solve over the pairwise estimates.
 //
 // Both scenarios fan their independent simulations across the pool with all
 // seeds fixed up front, so any --jobs value reproduces --jobs=1 bit for bit
 // (the CI determinism gate byte-compares ranging_network's pairs.csv).
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -157,7 +156,7 @@ REGISTER_SCENARIO_TIERS(twr_clock, "ranging",
 
 REGISTER_SCENARIO_TIERS(ranging_network, "ranging",
                         "N-node TWR network: per-pair CM1 distances + 2-D "
-                        "position solve (BENCH_ranging.json)",
+                        "position solve",
                         "4|8|16 nodes x 2|2|3 exch") {
   uwb::NetworkConfig cfg;
   cfg.sys.dt = ctx.pick(0.2e-9, 0.2e-9, 0.1e-9);
@@ -226,24 +225,9 @@ REGISTER_SCENARIO_TIERS(ranging_network, "ranging",
   ctx.sink.metric("distance_rmse_m", res.distance_rmse);
   ctx.sink.metric("position_rmse_m", res.position_rmse);
   ctx.sink.metric("range_bias_m", res.range_bias);
-
-  char buf[512];
-  std::snprintf(buf, sizeof buf,
-                "{\n"
-                "  \"nodes\": %d,\n"
-                "  \"pairs\": %zu,\n"
-                "  \"exchanges_per_pair\": %d,\n"
-                "  \"wall_seconds\": %.4f,\n"
-                "  \"pairs_per_second\": %.3f,\n"
-                "  \"distance_rmse_m\": %.6f,\n"
-                "  \"position_rmse_m\": %.6f,\n"
-                "  \"failed_pairs\": %d,\n"
-                "  \"jobs\": %d\n"
-                "}\n",
-                cfg.node_count, res.pairs.size(), cfg.exchanges_per_pair, wall,
-                res.pairs.size() / wall, res.distance_rmse, res.position_rmse,
-                res.failed_pairs, ctx.jobs);
-  ctx.sink.raw_artifact("BENCH_ranging.json", buf);
+  ctx.sink.metric("exchanges_per_pair",
+                  static_cast<std::uint64_t>(cfg.exchanges_per_pair));
+  ctx.sink.metric("pairs_per_second", res.pairs.size() / wall);
 
   // Golden-stats artifact: acquisition failures as a binomial check, the
   // per-pair ranging errors as a KS population, and the two RMSE figures as

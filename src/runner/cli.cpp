@@ -1,6 +1,7 @@
 #include "runner/cli.hpp"
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -8,8 +9,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "base/faults.hpp"
+#include "base/json.hpp"
 #include "base/parallel.hpp"
 #include "core/equiv.hpp"
 #include "runner/registry.hpp"
@@ -362,10 +365,6 @@ int run_cli(int argc, const char* const* argv) {
     // retired TransientSession and OP solve lands here) -> summary.json
     // `perf` block.
     const auto engine1 = spice::engine_counters::snapshot();
-    // Deliberately also present top-level in summary.json (same `wall`
-    // value): the perf block is the self-contained engine record CI
-    // tracks, the top-level field is the pre-existing schema.
-    sink.perf("wall_seconds", wall);
     sink.perf("transient_sessions", engine1.sessions - engine0.sessions);
     sink.perf("transient_steps", engine1.steps - engine0.steps);
     sink.perf("accepted_steps", engine1.accepted_steps - engine0.accepted_steps);
@@ -383,7 +382,13 @@ int run_cli(int argc, const char* const* argv) {
               engine1.nonconverged_failures - engine0.nonconverged_failures);
     sink.perf("op_solves", engine1.op_solves - engine0.op_solves);
     sink.perf("op_iterations", engine1.op_iterations - engine0.op_iterations);
+    // Run identity: what produced this record, next to what it measured.
     sink.metric("scale", std::string(to_string(opt.scale)));
+    sink.metric("tier", std::string(core::to_string(opt.tier)));
+    sink.metric("seed", base::hex_u64(opt.seed));
+    sink.metric("jobs", static_cast<std::uint64_t>(pool.jobs()));
+    sink.metric("hardware_threads",
+                static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
     sink.finish(status, wall);
     if (status != 0) ++failures;
     std::printf("\n--- %s: %s in %.2f s%s ---\n\n", s->info.name.c_str(),

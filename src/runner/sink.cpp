@@ -122,11 +122,6 @@ void ResultSink::metric(const std::string& key, const std::string& value) {
   metrics_[key] = base::JsonValue(value);
 }
 
-void ResultSink::perf(const std::string& key, double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  perf_[key] = json_number(value);
-}
-
 void ResultSink::perf(const std::string& key, std::uint64_t value) {
   std::lock_guard<std::mutex> lock(mu_);
   perf_[key] = base::JsonValue(static_cast<double>(value));

@@ -62,15 +62,15 @@ class ResultSink {
   void metric(const std::string& key, const std::string& value);
 
   // Engine performance counters for the `perf` block of summary.json
-  // (newton iterations, factorizations, accepted/rejected steps, wall
-  // time...). The CLI driver fills these from the process-wide
-  // spice::engine_counters delta around the scenario body; scenarios can
-  // add their own.
-  void perf(const std::string& key, double value);
+  // (newton iterations, factorizations, accepted/rejected steps...). The
+  // CLI driver fills these from the process-wide spice::engine_counters
+  // delta around the scenario body; scenarios can add their own.
   void perf(const std::string& key, std::uint64_t value);
 
-  // Verbatim artifact (e.g. a pre-rendered JSON report like
-  // BENCH_engine.json). The name is used as the file name as-is.
+  // Verbatim artifact (e.g. positions.csv or surrogate.json). The name is
+  // used as the file name as-is. Served results are keyed by content, so
+  // wall times and throughput belong in metrics, not artifacts (the
+  // paper's CPU-time tables are the deliberate exception).
   void raw_artifact(const std::string& filename, const std::string& content);
 
   // The run's golden-stats artifact (core::StatArtifact::to_json): written

@@ -89,8 +89,8 @@ struct TransientOptions {
   /// governs rebuilds only; how often rebuilds happen is `lazy_jacobian`'s
   /// decision. To restore the pre-fast-path engine exactly (full assembly
   /// + fresh full-pivoting factorization every Newton iteration), disable
-  /// **both** this and `lazy_jacobian` — as the equivalence tests and
-  /// bench_engine's classic workload do.
+  /// **both** this and `lazy_jacobian` — as the fast-vs-classic
+  /// equivalence tests do.
   bool reuse_factorization = true;
   /// Warm-start each step's Newton iteration from the linear history
   /// extrapolation instead of the last committed solution. Off by default:

@@ -151,7 +151,7 @@ TEST(Docs, ChannelsPageCoversTheEnvironmentAxis) {
   const std::string catalog =
       read_file(std::string(UWBAMS_DOCS_DIR) + "/scenarios.md");
   ASSERT_FALSE(catalog.empty());
-  for (const char* needle : {"channels.md", "BENCH_coex.json"}) {
+  for (const char* needle : {"channels.md", "bits_per_second"}) {
     EXPECT_NE(catalog.find(needle), std::string::npos)
         << "docs/scenarios.md does not mention '" << needle << "'";
   }

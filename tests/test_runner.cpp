@@ -1,6 +1,6 @@
 // Tests for the unified scenario API: registry lookup, sweep-axis
-// expansion, deterministic parallel execution, fork seeding, and the
-// CSV/JSON result sink.
+// expansion, deterministic parallel execution, fork seeding, the CSV/JSON
+// result sink, and the run record the CLI writes to summary.json.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/json.hpp"
 #include "base/random.hpp"
 #include "core/block_variant.hpp"
 #include "runner/cli.hpp"
@@ -317,6 +318,36 @@ TEST_F(SinkTest, SummaryJsonHoldsMetricsAndArtifacts) {
   EXPECT_NE(json.find("\"bits\": 4096"), std::string::npos);
   EXPECT_NE(json.find("\"note\": \"hello \\\"world\\\"\""), std::string::npos);
   EXPECT_NE(json.find("\"curve.csv\""), std::string::npos);
+}
+
+// summary.json is the one machine-readable run record: the CLI stamps the
+// run identity next to the scale, keeps a single (top-level) wall field,
+// and the engine counters perfbench reads keep their names.
+TEST_F(SinkTest, CliSummaryRecordsRunIdentityAndEngineCounters) {
+  const std::string out = "--out=" + dir_.string();
+  const char* argv[] = {"uwbams_run", "runner_test_probe", "--scale=fast",
+                        "--tier=stat_equiv", "--seed=7", "--jobs=2",
+                        out.c_str()};
+  ASSERT_EQ(runner::run_cli(7, argv), 0);
+
+  const base::JsonValue summary = base::parse_json(
+      slurp(dir_ / "runner_test_probe" / "summary.json"));
+  EXPECT_EQ(summary.at("status").as_number(), 0.0);
+  EXPECT_GE(summary.at("wall_seconds").as_number(), 0.0);
+  const base::JsonValue& metrics = summary.at("metrics");
+  EXPECT_EQ(metrics.at("answer").as_number(), 42.0);
+  EXPECT_EQ(metrics.at("scale").as_string(), "fast");
+  EXPECT_EQ(metrics.at("tier").as_string(), "stat_equiv");
+  EXPECT_EQ(metrics.at("seed").as_string(), base::hex_u64(7));
+  EXPECT_EQ(metrics.at("jobs").as_number(), 2.0);
+  EXPECT_EQ(metrics.at("hardware_threads").as_number(),
+            static_cast<double>(std::thread::hardware_concurrency()));
+  const base::JsonValue& perf = summary.at("perf");
+  for (const char* key :
+       {"transient_steps", "newton_iterations", "factorizations", "solves",
+        "rejected_steps", "fallback_steps", "op_solves"})
+    EXPECT_EQ(perf.at(key).as_number(), 0.0) << key;  // the probe runs no spice
+  EXPECT_FALSE(perf.has("wall_seconds"));
 }
 
 TEST_F(SinkTest, NoOutDirWritesNothing) {

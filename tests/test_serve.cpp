@@ -7,7 +7,8 @@
 //     are structured errors, never crashes and never partial execution —
 //     this file runs under ASan+UBSan in CI;
 //   * ScenarioService end to end (in-process, no sockets): cold compute,
-//     warm byte-identical cache hit, failed runs not cached, control ops;
+//     warm byte-identical cache hit, two cold computes of a shipped
+//     scenario byte-identical, failed runs not cached, control ops;
 //   * the memo clients (core/memo.hpp): characterization and surrogate
 //     calibration return bit-identical results on a repeat and key on
 //     every knob. The memo's process-wide switches are read once per
@@ -321,6 +322,30 @@ TEST(Service, ColdThenWarmIsByteIdenticalAndCached) {
   const auto stats = svc.stats();
   EXPECT_EQ(stats.computations, 2u);
   EXPECT_EQ(stats.cache_hits, 1u);
+}
+
+// docs/service.md: name, scale, exactness tier and seed produce
+// byte-identical artifacts. Two cold computes of one key, each in a fresh
+// cache and service, must return the same bytes — wall times and
+// throughput belong in summary.json metrics, never in a served artifact.
+TEST(Service, ColdComputesOfOneKeyAreByteIdentical) {
+  for (const std::string scenario : {"coex_ber", "yield_report"}) {
+    const std::string line =
+        "{\"schema\":\"uwbams-serve-v1\",\"scenario\":\"" + scenario +
+        "\",\"scale\":\"fast\",\"seed\":0}";
+    std::string results[2];
+    for (std::string& result : results) {
+      serve::ResultCache cache;
+      base::ParallelRunner pool(2);
+      serve::ScenarioService svc(cache, pool);
+      const std::string response = svc.handle_line(line);
+      const base::JsonValue doc = base::parse_json(response);
+      ASSERT_EQ(doc.at("status").as_string(), "ok") << response;
+      ASSERT_EQ(doc.at("cache").as_string(), "miss") << scenario;
+      result = result_of(response);
+    }
+    EXPECT_EQ(results[0], results[1]) << scenario;
+  }
 }
 
 TEST(Service, FailedRunsAreErrorsAndNotCached) {

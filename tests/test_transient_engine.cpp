@@ -8,6 +8,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "spice/circuit.hpp"
 #include "spice/devices.hpp"
@@ -87,35 +88,79 @@ TEST(FastPath, LinearCircuitRefactorsOnDtChange) {
   EXPECT_EQ(s.stats().refactorizations, 1u);
 }
 
-TEST(FastPath, ChordMatchesClassicNewtonWaveform) {
-  // The same nonlinear transient solved by the chord fast path and by the
-  // classic per-iteration full-Newton engine must agree to solver
-  // tolerance at every committed step.
-  Circuit fast_ckt = make_mos_amp();
-  Circuit classic_ckt = make_mos_amp();
-  TransientOptions fast;  // defaults: lazy Jacobian + pivot reuse
+// Steps one circuit through the chord fast path (defaults: lazy Jacobian +
+// pivot reuse) and through the classic per-iteration full-Newton engine in
+// lockstep. `drive(session, i)` sets a session's sources for step i;
+// `probe(session)` must agree to `tol` at every committed step, and the
+// fast path must actually have reused factorizations.
+template <class Build, class Drive, class Probe>
+void expect_fast_matches_classic(Build build, Drive drive, Probe probe,
+                                 int steps, double dt, double tol) {
+  Circuit fast_ckt = build();
+  Circuit classic_ckt = build();
   TransientOptions classic;
   classic.lazy_jacobian = false;
   classic.reuse_factorization = false;
-  TransientSession fast_s(fast_ckt, fast);
+  TransientSession fast_s(fast_ckt, {});
   TransientSession classic_s(classic_ckt, classic);
-  auto& vg_fast = fast_s.source("vg");
-  auto& vg_classic = classic_s.source("vg");
-  std::mt19937_64 rng(42);
-  std::normal_distribution<double> noise(0.0, 0.02);
-  for (int i = 0; i < 500; ++i) {
-    const double vg = 0.9 + 0.2 * std::sin(2e9 * 6.28 * fast_s.time()) +
-                      noise(rng);
-    vg_fast.set_override(vg);
-    vg_classic.set_override(vg);
-    fast_s.step(0.05e-9);
-    classic_s.step(0.05e-9);
-    ASSERT_NEAR(fast_s.v("d"), classic_s.v("d"), 5e-4)
+  for (int i = 0; i < steps; ++i) {
+    drive(fast_s, i);
+    drive(classic_s, i);
+    fast_s.step(dt);
+    classic_s.step(dt);
+    ASSERT_NEAR(probe(fast_s), probe(classic_s), tol)
         << "diverged at step " << i;
   }
-  // And the fast path must actually have reused factorizations.
   EXPECT_LT(fast_s.stats().factorizations + fast_s.stats().refactorizations,
             classic_s.stats().factorizations / 2);
+}
+
+TEST(FastPath, ChordMatchesClassicNewtonWaveform) {
+  // A common-source amplifier under a noisy sinusoidal gate drive.
+  std::vector<double> vg(500);
+  std::mt19937_64 rng(42);
+  std::normal_distribution<double> noise(0.0, 0.02);
+  for (std::size_t i = 0; i < vg.size(); ++i)
+    vg[i] = 0.9 + 0.2 * std::sin(2e9 * 6.28 * 0.05e-9 * i) + noise(rng);
+  expect_fast_matches_classic(
+      [] { return make_mos_amp(); },
+      [&](TransientSession& s, int i) {
+        s.source("vg").set_override(vg[static_cast<std::size_t>(i)]);
+      },
+      [](const TransientSession& s) { return s.v("d"); }, 500, 0.05e-9,
+      5e-4);
+}
+
+TEST(FastPath, ItdChordMatchesClassicNewtonWaveform) {
+  // The 31-MOSFET integrate-and-dump testbench under the receiver's control
+  // cycle (integrate, dump every 300 steps) and a seeded noisy
+  // differential input: the embedded-netlist inner loop of fig6_ber.
+  std::vector<double> u(3000);
+  std::mt19937_64 rng(1);
+  std::normal_distribution<double> noise(0.0, 0.01);
+  for (double& x : u) x = noise(rng);
+  spice::ItdTerminals t;
+  expect_fast_matches_classic(
+      [&] {
+        Circuit ckt;
+        t = spice::build_itd_testbench(ckt, {}).t;
+        return ckt;
+      },
+      [&](TransientSession& s, int i) {
+        const double x = u[static_cast<std::size_t>(i)];
+        s.source("vinp").set_override(0.9 + 0.5 * x);
+        s.source("vinm").set_override(0.9 - 0.5 * x);
+        if (i == 0) s.source("vctrlp").set_override(1.8);
+        if (i % 300 == 250)
+          s.source("vctrlm").set_override(1.8);  // dump
+        else if (i % 300 == 0)
+          s.source("vctrlm").set_override(0.0);  // integrate
+      },
+      [&](const TransientSession& s) {
+        return s.v(t.out_intp) - s.v(t.out_intm);
+      },
+      // The differential output swings a few mV; 50 uV is ~1% of that.
+      static_cast<int>(u.size()), 0.2e-9, 5e-5);
 }
 
 TEST(FastPath, ReusedPivotMatchesFreshLuClosely) {
