@@ -125,6 +125,13 @@ REGISTER_SCENARIO_TIERS(twr_clock, "ranging",
   }
   ctx.sink.series(series, "bias_vs_ppm");
 
+  // A slope needs two ppm rows with at least one acquisition each.
+  if (xs.size() < 2) {
+    ctx.sink.notef("FAIL: only %zu of %zu ppm rows acquired (%d acquisition "
+                   "failures); the drift-bias slope needs >= 2",
+                   xs.size(), ppm_values.size(), total_failures);
+    return 1;
+  }
   const auto fit = base::fit_line(xs, ys);
   const auto fit_comp = base::fit_line(xs, ys_comp);
   const double theory = -0.5 * c * pt * 1e-6;  // m per ppm of delta_b

@@ -1,5 +1,6 @@
 #include "base/random.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace uwbams::base {
@@ -15,6 +16,37 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream) {
   // Never hand back 0: mt19937_64 accepts it, but a zero seed is a common
   // sentinel in configs and would alias with "unset".
   return z ? z : 0x9e3779b97f4a7c15ull;
+}
+
+void Mt19937_64::refill() {
+  constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+  const auto twist = [](std::uint64_t cur, std::uint64_t succ,
+                        std::uint64_t far) {
+    const std::uint64_t y = (cur & kUpper) | (succ & ~kUpper);
+    return far ^ (y >> 1) ^ ((y & 1) ? 0xb5026f5aa96619e9ull : 0);
+  };
+  if (ready_ == kN) {
+    // The standard in-place twist of the whole block.
+    for (int k = 0; k < kN - kM; ++k)
+      x_[k] = twist(x_[k], x_[k + 1], x_[k + kM]);
+    for (int k = kN - kM; k < kN - 1; ++k)
+      x_[k] = twist(x_[k], x_[k + 1], x_[k + kM - kN]);
+    x_[kN - 1] = twist(x_[kN - 1], x_[0], x_[kM - 1]);
+    next_ = 0;
+    return;
+  }
+  // First block: the same in-place recurrence one word at a time, seeding
+  // just far enough ahead to supply its successor and its far word.
+  const int k = ready_;
+  for (const int need = std::min(k + kM, kN - 1) + 1; seeded_ < need;
+       ++seeded_) {
+    const std::uint64_t prev = x_[seeded_ - 1];
+    x_[seeded_] = 6364136223846793005ull * (prev ^ (prev >> 62)) +
+                  static_cast<std::uint64_t>(seeded_);
+  }
+  x_[k] = twist(x_[k], x_[k + 1 < kN ? k + 1 : 0],
+                x_[k + kM < kN ? k + kM : k + kM - kN]);
+  ++ready_;
 }
 
 double Rng::uniform() {

@@ -13,6 +13,55 @@
 
 namespace uwbams::base {
 
+/// The 64-bit Mersenne Twister: for every seed, the same output sequence as
+/// the standard library's mt19937_64, and a drop-in engine for the standard
+/// distributions.
+/// Seeding is lazy. The standard engine writes all 312 state words on seed()
+/// and twists all 312 on the first draw; this one seeds and twists the
+/// first block a word at a time, as draws need them (word k needs the seed
+/// words up to k + 156). A fresh sub-stream that draws a handful of words
+/// therefore costs ~160 word steps instead of 624. Later blocks use the
+/// standard full twist.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit Mt19937_64(result_type s) { seed(s); }
+
+  void seed(result_type s) {
+    x_[0] = s;
+    seeded_ = 1;
+    next_ = 0;
+    ready_ = 0;
+  }
+
+  result_type operator()() {
+    if (next_ == ready_) refill();
+    result_type z = x_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71d67fffeda60000ull;
+    z ^= (z << 37) & 0xfff7eee000000000ull;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr int kN = 312;  ///< state words
+  static constexpr int kM = 156;  ///< twist offset
+  /// Makes x_[next_] ready: twists the next word of the first block, or the
+  /// whole next block once the first is spent.
+  void refill();
+
+  /// x_[0, seeded_) hold state (seed words not yet twisted, or twisted
+  /// words); x_[0, ready_) of the current block are twisted; next_ is the
+  /// next word to temper.
+  result_type x_[kN] = {};
+  int seeded_ = 0;
+  int next_ = 0;
+  int ready_ = 0;
+};
+
 // Stateless seed mixer (splitmix64 over base ^ f(stream)). Two calls with
 // the same (base, stream) always produce the same seed, and nearby streams
 // land far apart, so worker seeds never collide or correlate.
@@ -63,11 +112,12 @@ class Rng {
   // Next arrival time of a Poisson process with given rate, after `now`.
   double poisson_arrival_after(double now, double rate);
 
-  std::mt19937_64& engine() { return engine_; }
+  /// The underlying engine, for the standard distributions and algorithms.
+  Mt19937_64& engine() { return engine_; }
 
  private:
   std::uint64_t seed_ = 1;
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace uwbams::base

@@ -34,7 +34,42 @@ double dist2d(const uwb::NodePosition& p, const uwb::NodePosition& q) {
   return std::hypot(p.x - q.x, p.y - q.y);
 }
 
+// Lattice indices [lo, hi] whose coordinate (i + 0.5) * spacing can lie
+// within r of v, clamped to [0, n) (empty when lo > hi). floor/ceil round
+// the bounds outward, which absorbs the few-ulp error of the bound
+// arithmetic. The clamps compare in double before converting, so a far-off
+// v cannot overflow the int and a NaN bound falls back to the full range.
+std::pair<int, int> lattice_window(double v, double r, double spacing,
+                                   int n) {
+  const double lo = std::floor((v - r) / spacing - 0.5);
+  const double hi = std::ceil((v + r) / spacing - 0.5);
+  return {lo > 0.0 ? (lo < n ? static_cast<int>(lo) : n) : 0,
+          hi < n - 1.0 ? (hi > -1.0 ? static_cast<int>(hi) : -1) : n - 1};
+}
+
 }  // namespace
+
+std::vector<AnchorCandidate> anchors_in_range(
+    const NetScaleConfig& cfg, const std::vector<uwb::NodePosition>& anchors,
+    const std::vector<bool>& dark, const uwb::NodePosition& pos) {
+  const int g = cfg.anchor_grid;
+  const double spacing = cfg.area_m / g;
+  const auto [col_lo, col_hi] =
+      lattice_window(pos.x, cfg.max_range_m, spacing, g);
+  const auto [row_lo, row_hi] =
+      lattice_window(pos.y, cfg.max_range_m, spacing, g);
+  std::vector<AnchorCandidate> cand;
+  for (int row = row_lo; row <= row_hi; ++row) {
+    for (int col = col_lo; col <= col_hi; ++col) {
+      const std::size_t a = static_cast<std::size_t>(row) * g + col;
+      if (dark[a]) continue;
+      const double d = dist2d(pos, anchors[a]);
+      if (d <= cfg.max_range_m) cand.push_back({d, a});
+    }
+  }
+  std::sort(cand.begin(), cand.end());
+  return cand;
+}
 
 NetScaleEngine::NetScaleEngine(const NetScaleConfig& cfg,
                                const SurrogateTable& table)
@@ -237,13 +272,8 @@ TagRound NetScaleEngine::measure_tag(int round, int tag) const {
 
   // Candidate anchors: alive and inside the link budget, nearest first
   // (ties broken by anchor index for determinism).
-  std::vector<std::pair<double, std::size_t>> cand;
-  for (std::size_t a = 0; a < anchors_.size(); ++a) {
-    if (anchor_dark_[a]) continue;
-    const double d = dist2d(pos, anchors_[a]);
-    if (d <= cfg_.max_range_m) cand.push_back({d, a});
-  }
-  std::sort(cand.begin(), cand.end());
+  const std::vector<AnchorCandidate> cand =
+      anchors_in_range(cfg_, anchors_, anchor_dark_, pos);
   const std::size_t links =
       std::min(cand.size(), static_cast<std::size_t>(cfg_.max_links_per_tag));
 

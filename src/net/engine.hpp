@@ -26,7 +26,9 @@
 /// count, and any re-run, reproduces the same artifacts bit for bit.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "base/parallel.hpp"
@@ -132,6 +134,19 @@ struct NetScaleResult {
   std::uint64_t total_draws = 0;
   std::uint64_t quarantined = 0;  ///< sum of tags_quarantined over rounds
 };
+
+/// (distance, anchor index) of one candidate link.
+using AnchorCandidate = std::pair<double, std::size_t>;
+
+/// Candidate links of a tag at `pos`: the anchors of the row-major
+/// anchor_grid x anchor_grid lattice `anchors` (spacing area_m /
+/// anchor_grid, centered, as NetScaleEngine lays it out) that are not
+/// `dark` and lie within max_range_m, nearest first with ties broken by
+/// anchor index. Only the lattice rows and columns within max_range_m of
+/// `pos` are scanned.
+std::vector<AnchorCandidate> anchors_in_range(
+    const NetScaleConfig& cfg, const std::vector<uwb::NodePosition>& anchors,
+    const std::vector<bool>& dark, const uwb::NodePosition& pos);
 
 class NetScaleEngine {
  public:

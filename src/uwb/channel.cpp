@@ -311,17 +311,20 @@ void ChannelBlock::step_block(const double* /*t*/, double /*dt*/, int n) {
   }
   // Phase 2: accumulate taps. Looping taps outer / samples inner adds each
   // sample's contributions in the same tap order as the per-sample path, so
-  // the floating-point sums are bit-identical; the ring index advances by
-  // increment-and-wrap instead of a per-read modulo.
+  // the floating-point sums are bit-identical. Each tap reads the ring as at
+  // most two contiguous spans (up to the end of the line, then from its
+  // start), so the inner loops carry no wrap branch.
   for (int i = 0; i < n; ++i) out_[i] = 0.0;
+  const double* line = delay_line_.data();
   for (const auto& tap : sampled_) {
-    std::size_t idx =
+    const std::size_t idx =
         (write_pos_ + len - static_cast<std::size_t>(tap.delay_samples)) % len;
     const double g = tap.gain;
-    for (int i = 0; i < n; ++i) {
-      out_[i] += g * delay_line_[idx];
-      if (++idx == len) idx = 0;
-    }
+    const int head = static_cast<int>(
+        std::min(static_cast<std::size_t>(n), len - idx));
+    const double* span = line + idx;
+    for (int i = 0; i < head; ++i) out_[i] += g * span[i];
+    for (int i = head; i < n; ++i) out_[i] += g * line[i - head];
   }
   // Phase 3: the AWGN draws, one per sample in sample order — the identical
   // RNG sequence of the per-sample path (the hoisted sqrt is the same value

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <random>
 #include <vector>
 
 #include "base/random.hpp"
@@ -98,6 +101,160 @@ TEST(Rng, PoissonArrivalRate) {
     ++count;
   }
   EXPECT_NEAR(count / 1000.0, 5.0, 0.3);
+}
+
+// ---- stream identity: Rng draws the std::mt19937_64 sequence bit for bit.
+// The engine seeds and twists its first 312-word block lazily, so every
+// check runs past the 312- and 624-word block edges.
+
+using StdMt = std::mt19937_64;
+
+// The edges of the seed space plus derive_seed outputs (what every
+// sub-stream in the repo is seeded with).
+std::vector<std::uint64_t> identity_seeds() {
+  const std::uint64_t max = ~std::uint64_t{0};
+  return {0, 1, max, base::derive_seed(1, 0), base::derive_seed(42, 7),
+          base::derive_seed(max, 123456)};
+}
+
+constexpr int kIdentityDraws = 700;
+
+// One Rng method and its reference: the same standard distribution driven
+// by a plain std::mt19937_64.
+struct MethodPair {
+  const char* name;
+  std::function<double(Rng&)> draw;
+  std::function<double(StdMt&)> reference;
+};
+
+std::vector<MethodPair> method_pairs() {
+  const auto normal = [](double m, double s, StdMt& e) {
+    return std::normal_distribution<double>(m, s)(e);
+  };
+  const auto uniform_int = [](int lo, int hi, StdMt& e) {
+    return std::uniform_int_distribution<int>(lo, hi)(e);
+  };
+  const auto exponential = [](double rate, StdMt& e) {
+    return std::exponential_distribution<double>(rate)(e);
+  };
+  const auto nakagami = [](double m, double omega, StdMt& e) {
+    return std::sqrt(std::gamma_distribution<double>(m, omega / m)(e));
+  };
+  return {
+      {"uniform", [](Rng& r) { return r.uniform(); },
+       [](StdMt& e) {
+         return std::uniform_real_distribution<double>(0.0, 1.0)(e);
+       }},
+      {"uniform(lo, hi)", [](Rng& r) { return r.uniform(-3.0, 5.0); },
+       [](StdMt& e) {
+         return std::uniform_real_distribution<double>(-3.0, 5.0)(e);
+       }},
+      {"uniform_int", [](Rng& r) { return 1.0 * r.uniform_int(-7, 1000); },
+       [=](StdMt& e) { return 1.0 * uniform_int(-7, 1000, e); }},
+      {"gaussian", [](Rng& r) { return r.gaussian(); },
+       [=](StdMt& e) { return normal(0.0, 1.0, e); }},
+      {"gaussian(mean, stddev)", [](Rng& r) { return r.gaussian(2.0, 0.5); },
+       [=](StdMt& e) { return normal(2.0, 0.5, e); }},
+      {"exponential", [](Rng& r) { return r.exponential(4.0); },
+       [=](StdMt& e) { return exponential(4.0, e); }},
+      {"lognormal_db", [](Rng& r) { return r.lognormal_db(-3.0, 4.8); },
+       [=](StdMt& e) { return std::pow(10.0, normal(-3.0, 4.8, e) / 10.0); }},
+      {"nakagami(m < 1)", [](Rng& r) { return r.nakagami(0.7, 2.0); },
+       [=](StdMt& e) { return nakagami(0.7, 2.0, e); }},
+      {"nakagami(m > 1)", [](Rng& r) { return r.nakagami(3.5, 0.5); },
+       [=](StdMt& e) { return nakagami(3.5, 0.5, e); }},
+      {"bit", [](Rng& r) { return r.bit() ? 1.0 : 0.0; },
+       [=](StdMt& e) { return uniform_int(0, 1, e) != 0 ? 1.0 : 0.0; }},
+      {"bits",
+       [](Rng& r) {
+         double packed = 0.0;
+         for (bool b : r.bits(5)) packed = 2.0 * packed + (b ? 1.0 : 0.0);
+         return packed;
+       },
+       [=](StdMt& e) {
+         double packed = 0.0;
+         for (int i = 0; i < 5; ++i)
+           packed = 2.0 * packed + (uniform_int(0, 1, e) != 0 ? 1.0 : 0.0);
+         return packed;
+       }},
+      {"poisson_arrival_after",
+       [](Rng& r) { return r.poisson_arrival_after(1.5, 2.0); },
+       [=](StdMt& e) { return 1.5 + exponential(2.0, e); }},
+  };
+}
+
+TEST(RngStream, EngineWordsMatchStdMt19937_64) {
+  static_assert(base::Mt19937_64::min() == StdMt::min());
+  static_assert(base::Mt19937_64::max() == StdMt::max());
+  for (const std::uint64_t seed : identity_seeds()) {
+    base::Mt19937_64 lazy(seed);
+    StdMt ref(seed);
+    int mismatches = 0;
+    for (int i = 0; i < 2000; ++i) mismatches += lazy() != ref() ? 1 : 0;
+    EXPECT_EQ(mismatches, 0) << "seed " << seed;
+  }
+}
+
+TEST(RngStream, EveryMethodMatchesStdDistributions) {
+  const std::vector<MethodPair> methods = method_pairs();
+  for (const std::uint64_t seed : identity_seeds()) {
+    // Each method alone: the first n draws match for every n <= 700.
+    for (const MethodPair& m : methods) {
+      Rng rng(seed);
+      StdMt ref(seed);
+      int mismatches = 0;
+      for (int i = 0; i < kIdentityDraws; ++i)
+        mismatches += m.draw(rng) != m.reference(ref) ? 1 : 0;
+      EXPECT_EQ(mismatches, 0) << m.name << ", seed " << seed;
+    }
+    // All methods interleaved in one stream.
+    Rng rng(seed);
+    StdMt ref(seed);
+    int mismatches = 0;
+    for (int i = 0; i < kIdentityDraws; ++i) {
+      const MethodPair& m =
+          methods[static_cast<std::size_t>(i) % methods.size()];
+      mismatches += m.draw(rng) != m.reference(ref) ? 1 : 0;
+    }
+    EXPECT_EQ(mismatches, 0) << "interleaved, seed " << seed;
+  }
+}
+
+TEST(RngStream, CopyForkAndReseedContinueIdentically) {
+  constexpr int kTail = 64;
+  for (const std::uint64_t seed : identity_seeds()) {
+    StdMt ref_engine(seed);
+    std::vector<std::uint64_t> ref(kIdentityDraws + kTail);
+    for (auto& w : ref) w = ref_engine();
+    int mismatches = 0;
+    for (int k = 0; k <= kIdentityDraws; ++k) {
+      Rng rng(seed);
+      for (int i = 0; i < k; ++i) rng.engine()();
+      Rng copied = rng;
+      Rng assigned(99);
+      assigned.engine()();
+      assigned = rng;
+      for (int j = 0; j < kTail; ++j) {
+        const std::uint64_t want = ref[static_cast<std::size_t>(k + j)];
+        mismatches += copied.engine()() != want ? 1 : 0;
+        mismatches += assigned.engine()() != want ? 1 : 0;
+        mismatches += rng.engine()() != want ? 1 : 0;
+      }
+      // fork() depends on the seed alone, never on the draws made so far.
+      Rng forked = rng.fork(static_cast<std::uint64_t>(k));
+      StdMt fork_ref(base::derive_seed(seed, static_cast<std::uint64_t>(k)));
+      for (int j = 0; j < kTail; ++j)
+        mismatches += forked.engine()() != fork_ref() ? 1 : 0;
+      // reseed() mid-stream restarts the new seed's sequence from its start.
+      const std::uint64_t reseed = base::derive_seed(seed, 1000 + k);
+      rng.reseed(reseed);
+      EXPECT_EQ(rng.seed(), reseed);
+      StdMt reseed_ref(reseed);
+      for (int j = 0; j < kTail; ++j)
+        mismatches += rng.engine()() != reseed_ref() ? 1 : 0;
+    }
+    EXPECT_EQ(mismatches, 0) << "seed " << seed;
+  }
 }
 
 TEST(RunningStats, AgainstClosedForm) {

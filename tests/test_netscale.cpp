@@ -487,3 +487,90 @@ TEST(Engine, OutlierDrawsAreTrimmedByTheSolver) {
   EXPECT_GT(res.overall_availability, 0.95);
   EXPECT_LT(res.overall_rmse_m, 1.5);
 }
+
+// --------------------------------------------------------- anchor window
+
+namespace {
+
+// The reference for anchors_in_range: every anchor of the lattice, same
+// distance test, same (distance, index) order.
+std::vector<net::AnchorCandidate> all_anchors_in_range(
+    const net::NetScaleConfig& cfg,
+    const std::vector<uwb::NodePosition>& anchors,
+    const std::vector<bool>& dark, const uwb::NodePosition& pos) {
+  std::vector<net::AnchorCandidate> cand;
+  for (std::size_t a = 0; a < anchors.size(); ++a) {
+    if (dark[a]) continue;
+    const double d = std::hypot(pos.x - anchors[a].x, pos.y - anchors[a].y);
+    if (d <= cfg.max_range_m) cand.push_back({d, a});
+  }
+  std::sort(cand.begin(), cand.end());
+  return cand;
+}
+
+}  // namespace
+
+TEST(AnchorWindow, MatchesTheFullLatticeScan) {
+  const auto table = synthetic_table(0.0, 0.1);
+  struct Case {
+    double area_m;
+    int grid;
+    double range_m;
+  };
+  const Case cases[] = {
+      {40.0, 6, 12.0},   // the engine defaults
+      {30.0, 6, 10.0},   // range an exact multiple of the 5 m spacing
+      {40.0, 6, 7.3},    // range not a multiple of the spacing
+      {40.0, 6, 100.0},  // range beyond the whole area
+      {40.0, 2, 12.0},   // the smallest lattice
+      {10.0, 2, 3.1},    // smallest lattice, short range
+      {210.0, 42, 12.0},  // the 20k-node deployment
+  };
+  base::Rng rng(2024);
+  for (const Case& c : cases) {
+    net::NetScaleConfig cfg;
+    cfg.area_m = c.area_m;
+    cfg.anchor_grid = c.grid;
+    cfg.max_range_m = c.range_m;
+    const net::NetScaleEngine eng(cfg, table);
+    const std::vector<uwb::NodePosition>& anchors = eng.anchors();
+
+    // Area corners and edge midpoints, every anchor, points at exactly the
+    // range from an anchor along each axis, then seeded positions over
+    // the area and a margin around it.
+    const double a = c.area_m;
+    std::vector<uwb::NodePosition> probes = {
+        {0.0, 0.0},   {a, 0.0},     {0.0, a},     {a, a},
+        {a / 2, 0.0}, {0.0, a / 2}, {a, a / 2},   {a / 2, a}};
+    for (const auto& p : anchors) {
+      probes.push_back(p);
+      probes.push_back({p.x + c.range_m, p.y});
+      probes.push_back({p.x - c.range_m, p.y});
+      probes.push_back({p.x, p.y + c.range_m});
+      probes.push_back({p.x, p.y - c.range_m});
+    }
+    for (int i = 0; i < 10000; ++i)
+      probes.push_back({rng.uniform(-0.05 * a, 1.05 * a),
+                        rng.uniform(-0.05 * a, 1.05 * a)});
+
+    // All anchors alive, then about a quarter dark.
+    std::vector<bool> dark(anchors.size(), false);
+    for (int pass = 0; pass < 2; ++pass) {
+      if (pass == 1)
+        for (std::size_t k = 0; k < dark.size(); ++k)
+          dark[k] = rng.uniform() < 0.25;
+      int mismatches = 0;
+      std::size_t found = 0;
+      for (const auto& p : probes) {
+        const auto got = net::anchors_in_range(cfg, anchors, dark, p);
+        const auto want = all_anchors_in_range(cfg, anchors, dark, p);
+        mismatches += got != want ? 1 : 0;
+        found += got.size();
+      }
+      EXPECT_EQ(mismatches, 0) << "area " << a << ", grid " << c.grid
+                               << ", range " << c.range_m << ", pass "
+                               << pass;
+      EXPECT_GT(found, 0u);
+    }
+  }
+}

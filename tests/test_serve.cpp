@@ -274,7 +274,7 @@ TEST(Service, ErrorsAreResponsesNeverCrashesNeverPartialRuns) {
   serve::ResultCache cache;
   base::ParallelRunner pool(1);
   serve::ScenarioService svc(cache, pool);
-  for (const std::string line :
+  for (const std::string& line :
        {std::string("garbage"), std::string("{\"schema\":\"wrong\"}"),
         std::string("{\"schema\":\"uwbams-serve-v1\",\"scenario\":"
                     "\"no_such_scenario\"}")}) {

@@ -85,7 +85,8 @@ void expect_every_field_keyed(const char* what, ToJson&& to_json_fn) {
   ASSERT_GT(n, 0) << what;
   for (int k = 0; k < n; ++k) {
     T mutated{};
-    FieldMutator m{k};
+    FieldMutator m;
+    m.target = k;
     canon::visit_fields(mutated, m);
     EXPECT_NE(canon::key_of(to_json_fn(mutated)), base_key)
         << what << ": mutating field '" << m.name
@@ -101,7 +102,8 @@ void expect_every_field_round_trips(const char* what, ToJson&& to_json_fn,
   const int n = field_count<T>();
   for (int k = 0; k < n; ++k) {
     T mutated{};
-    FieldMutator m{k};
+    FieldMutator m;
+    m.target = k;
     canon::visit_fields(mutated, m);
     T back{};
     from_json_fn(to_json_fn(mutated), &back);

@@ -226,10 +226,11 @@ TEST(FastPath, FootprintCoversEveryStampedEntry) {
     for (const auto& dev : ckt.devices()) dev->stamp(mna, args);
     for (std::size_t r = 0; r < mna.size(); ++r)
       for (std::size_t c = 0; c < mna.size(); ++c)
-        if (mna.matrix()(r, c) != 0.0)
+        if (mna.matrix()(r, c) != 0.0) {
           EXPECT_TRUE(pattern->contains(static_cast<int>(r),
                                         static_cast<int>(c)))
               << "entry (" << r << "," << c << ") outside footprint";
+        }
   }
 }
 
