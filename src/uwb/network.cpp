@@ -1,8 +1,10 @@
 #include "uwb/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "base/random.hpp"
 
@@ -47,6 +49,12 @@ bool trilaterate(const std::vector<NodePosition>& refs,
   return true;
 }
 
+bool same_bits(const NodePosition& a, const NodePosition& b) {
+  using Bits = std::uint64_t;
+  return std::bit_cast<Bits>(a.x) == std::bit_cast<Bits>(b.x) &&
+         std::bit_cast<Bits>(a.y) == std::bit_cast<Bits>(b.y);
+}
+
 }  // namespace
 
 std::vector<NodePosition> solve_positions_2d(
@@ -59,100 +67,19 @@ std::vector<NodePosition> solve_positions_2d(
         "solve_positions_2d: need >= 3 anchors to fix the 2-D gauge");
   if (anchor_count > n)
     throw std::invalid_argument("solve_positions_2d: more anchors than nodes");
-
-  // One full solve from a given unknown-node seed offset: trilateration
-  // init where possible, then alternating bias re-estimation and per-node
-  // Gauss-Newton sweeps. Returns the refined positions, the bias and the
-  // total squared residual (the multi-start selection criterion).
-  const auto solve_from = [&](const std::vector<PairDistance>& measurements,
-                              double off_x, double off_y, double* bias_used) {
-    std::vector<NodePosition> pos = positions_init;
-    for (int k = anchor_count; k < n; ++k) {
-      pos[static_cast<std::size_t>(k)].x += off_x;
-      pos[static_cast<std::size_t>(k)].y += off_y;
-    }
-
-    // Common range bias, seeded from the anchor-anchor links (known true
-    // separations observe the bias directly) and refined each sweep over
-    // all measurements once positions firm up.
-    double bias = 0.0;
-    if (estimate_range_bias) {
-      double sum = 0.0;
-      int count = 0;
-      for (const auto& m : measurements) {
-        if (m.node_a >= anchor_count || m.node_b >= anchor_count) continue;
-        sum += m.distance -
-               distance_between(pos[static_cast<std::size_t>(m.node_a)],
-                                pos[static_cast<std::size_t>(m.node_b)]);
-        ++count;
-      }
-      if (count > 0) bias = sum / count;
-    }
-
-    // Init every unknown node by trilateration against the anchors it has
-    // measurements to; nodes without enough anchor links keep their offset
-    // seed position (refined by the sweeps below through node-node links).
-    for (int k = anchor_count; k < n; ++k) {
-      std::vector<NodePosition> refs;
-      std::vector<double> dists;
-      for (const auto& m : measurements) {
-        const int other =
-            m.node_a == k ? m.node_b : (m.node_b == k ? m.node_a : -1);
-        if (other < 0 || other >= anchor_count) continue;
-        refs.push_back(positions_init[static_cast<std::size_t>(other)]);
-        dists.push_back(m.distance - bias);
-      }
-      NodePosition p;
-      if (trilaterate(refs, dists, &p)) pos[static_cast<std::size_t>(k)] = p;
-    }
-
-    // Gauss-Newton coordinate sweeps: each unknown node refines against
-    // all of its measured neighbours (anchors and previously-updated
-    // unknowns). The tiny Levenberg damping keeps the 2x2 solve well-posed
-    // when a node has nearly collinear neighbours.
-    for (int sweep = 0; sweep < sweeps; ++sweep) {
-      if (estimate_range_bias) {
-        // Re-estimate the common bias against the current geometry (all
-        // links; the fixed anchors keep it from drifting with the gauge).
-        double sum = 0.0;
-        int count = 0;
-        for (const auto& m : measurements) {
-          sum += m.distance -
-                 distance_between(pos[static_cast<std::size_t>(m.node_a)],
-                                  pos[static_cast<std::size_t>(m.node_b)]);
-          ++count;
-        }
-        if (count > 0) bias = sum / count;
-      }
-      for (int k = anchor_count; k < n; ++k) {
-        double a11 = 1e-9, a12 = 0, a22 = 1e-9, b1 = 0, b2 = 0;
-        auto& pk = pos[static_cast<std::size_t>(k)];
-        for (const auto& m : measurements) {
-          const int other =
-              m.node_a == k ? m.node_b : (m.node_b == k ? m.node_a : -1);
-          if (other < 0) continue;
-          const auto& po = pos[static_cast<std::size_t>(other)];
-          const double dx = pk.x - po.x;
-          const double dy = pk.y - po.y;
-          const double r = std::hypot(dx, dy);
-          if (r < 1e-9) continue;
-          const double ux = dx / r, uy = dy / r;
-          const double res = r - (m.distance - bias);
-          a11 += ux * ux;
-          a12 += ux * uy;
-          a22 += uy * uy;
-          b1 += ux * res;
-          b2 += uy * res;
-        }
-        const double det = a11 * a22 - a12 * a12;
-        if (std::abs(det) < 1e-15) continue;
-        pk.x -= (a22 * b1 - a12 * b2) / det;
-        pk.y -= (a11 * b2 - a12 * b1) / det;
-      }
-    }
-    *bias_used = bias;
-    return pos;
-  };
+  for (std::size_t i = 0; i < measurements.size(); ++i) {
+    const auto& m = measurements[i];
+    for (const int node : {m.node_a, m.node_b})
+      if (node < 0 || node >= n)
+        throw std::invalid_argument(
+            "solve_positions_2d: measurement " + std::to_string(i) +
+            " names node " + std::to_string(node) + " outside [0, " +
+            std::to_string(n) + ")");
+    if (m.node_a == m.node_b)
+      throw std::invalid_argument(
+          "solve_positions_2d: measurement " + std::to_string(i) +
+          " pairs node " + std::to_string(m.node_a) + " with itself");
+  }
 
   const auto total_residual = [&](const std::vector<PairDistance>& measurements,
                                   const std::vector<NodePosition>& pos,
@@ -185,13 +112,112 @@ std::vector<NodePosition> solve_positions_2d(
                                {-r0, r0}};
   const auto run_multistart = [&](const std::vector<PairDistance>& meas,
                                   double* bias_used) {
+    // Common range bias, seeded from the anchor-anchor links (known true
+    // separations observe the bias directly) and refined each sweep over
+    // all measurements once positions firm up.
+    double seed_bias = 0.0;
+    if (estimate_range_bias) {
+      double sum = 0.0;
+      int count = 0;
+      for (const auto& m : meas) {
+        if (m.node_a >= anchor_count || m.node_b >= anchor_count) continue;
+        sum += m.distance -
+               distance_between(positions_init[static_cast<std::size_t>(m.node_a)],
+                                positions_init[static_cast<std::size_t>(m.node_b)]);
+        ++count;
+      }
+      if (count > 0) seed_bias = sum / count;
+    }
+
+    // Init every unknown node by trilateration against the anchors it has
+    // measurements to. Neither this nor the bias seed reads the start
+    // offset (anchors never move), so both run once for all starts. Nodes
+    // without enough anchor links are `loose`: they keep their init
+    // position plus the start offset and are refined by the sweeps below
+    // through node-node links.
+    std::vector<NodePosition> seeded = positions_init;
+    std::vector<int> loose;
+    for (int k = anchor_count; k < n; ++k) {
+      std::vector<NodePosition> refs;
+      std::vector<double> dists;
+      for (const auto& m : meas) {
+        const int other =
+            m.node_a == k ? m.node_b : (m.node_b == k ? m.node_a : -1);
+        if (other < 0 || other >= anchor_count) continue;
+        refs.push_back(positions_init[static_cast<std::size_t>(other)]);
+        dists.push_back(m.distance - seed_bias);
+      }
+      NodePosition p;
+      if (trilaterate(refs, dists, &p))
+        seeded[static_cast<std::size_t>(k)] = p;
+      else
+        loose.push_back(k);
+    }
+
     std::vector<NodePosition> best;
     double best_bias = 0.0;
     double best_ssq = 0.0;
     bool first = true;
     for (const auto& off : offsets) {
-      double bias = 0.0;
-      auto pos = solve_from(meas, off[0], off[1], &bias);
+      std::vector<NodePosition> pos = seeded;
+      for (const int k : loose) {
+        pos[static_cast<std::size_t>(k)].x += off[0];
+        pos[static_cast<std::size_t>(k)].y += off[1];
+      }
+      double bias = seed_bias;
+
+      // Gauss-Newton coordinate sweeps: each unknown node refines against
+      // all of its measured neighbours (anchors and previously-updated
+      // unknowns). The tiny Levenberg damping keeps the 2x2 solve
+      // well-posed when a node has nearly collinear neighbours.
+      for (int sweep = 0; sweep < sweeps; ++sweep) {
+        if (estimate_range_bias) {
+          // Re-estimate the common bias against the current geometry (all
+          // links; the fixed anchors keep it from drifting with the gauge).
+          double sum = 0.0;
+          int count = 0;
+          for (const auto& m : meas) {
+            sum += m.distance -
+                   distance_between(pos[static_cast<std::size_t>(m.node_a)],
+                                    pos[static_cast<std::size_t>(m.node_b)]);
+            ++count;
+          }
+          if (count > 0) bias = sum / count;
+        }
+        bool moved = false;
+        for (int k = anchor_count; k < n; ++k) {
+          double a11 = 1e-9, a12 = 0, a22 = 1e-9, b1 = 0, b2 = 0;
+          auto& pk = pos[static_cast<std::size_t>(k)];
+          for (const auto& m : meas) {
+            const int other =
+                m.node_a == k ? m.node_b : (m.node_b == k ? m.node_a : -1);
+            if (other < 0) continue;
+            const auto& po = pos[static_cast<std::size_t>(other)];
+            const double dx = pk.x - po.x;
+            const double dy = pk.y - po.y;
+            const double r = std::hypot(dx, dy);
+            if (r < 1e-9) continue;
+            const double ux = dx / r, uy = dy / r;
+            const double res = r - (m.distance - bias);
+            a11 += ux * ux;
+            a12 += ux * uy;
+            a22 += uy * uy;
+            b1 += ux * res;
+            b2 += uy * res;
+          }
+          const double det = a11 * a22 - a12 * a12;
+          if (std::abs(det) < 1e-15) continue;
+          const NodePosition before = pk;
+          pk.x -= (a22 * b1 - a12 * b2) / det;
+          pk.y -= (a11 * b2 - a12 * b1) / det;
+          moved = moved || !same_bits(before, pk);
+        }
+        // A sweep that left every position bitwise unchanged is a fixed
+        // point: the next sweep would redo the same arithmetic (the bias is
+        // either constant or recomputed from these same positions).
+        if (!moved) break;
+      }
+
       const double ssq = total_residual(meas, pos, bias);
       if (first || ssq < best_ssq) {
         best = std::move(pos);
@@ -199,6 +225,9 @@ std::vector<NodePosition> solve_positions_2d(
         best_ssq = ssq;
         first = false;
       }
+      // With no loose node the offset reaches no position, so the other
+      // starts would repeat this one and the strict < would keep it.
+      if (loose.empty()) break;
     }
     *bias_used = best_bias;
     return best;

@@ -23,9 +23,9 @@
 ///     of the shared drift/jitter template.
 ///
 /// solve_positions_2d() is a deterministic least-squares multilateration:
-/// nodes 0..2 are anchors at known positions, the rest are initialized by
-/// linear trilateration against the anchors and refined by per-node
-/// Gauss-Newton sweeps over *all* measured pair distances.
+/// the first `anchor_count` nodes are anchors at known positions, the rest
+/// are initialized by linear trilateration against the anchors and refined
+/// by per-node Gauss-Newton sweeps over *all* measured pair distances.
 #pragma once
 
 #include <cstdint>
@@ -104,7 +104,8 @@ struct PairDistance {
 /// coordinates (first `anchor_count` entries are held fixed) and the vector
 /// length fixes the node count; non-anchor entries are used only when no
 /// trilateration init is possible for that node. Deterministic; requires
-/// anchor_count >= 3 (the 2-D gauge).
+/// anchor_count >= 3 (the 2-D gauge) and throws std::invalid_argument for a
+/// measurement naming a node outside [0, n) or pairing a node with itself.
 ///
 /// When `estimate_range_bias` is set the model becomes
 /// d_ij = |p_i - p_j| + b with one network-common bias b solved jointly —

@@ -2,11 +2,18 @@
 // ranging network (uwb/network.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "base/parallel.hpp"
+#include "base/random.hpp"
 #include "base/units.hpp"
 #include "core/block_variant.hpp"
 #include "uwb/clock.hpp"
@@ -367,6 +374,364 @@ TEST(PositionSolver, RejectsDegenerateGauge) {
   const std::vector<uwb::NodePosition> pts = {{0, 0}, {1, 0}, {2, 0}};
   EXPECT_THROW(uwb::solve_positions_2d(pts, 2, {}), std::invalid_argument);
   EXPECT_THROW(uwb::solve_positions_2d(pts, 4, {}), std::invalid_argument);
+}
+
+TEST(PositionSolver, RejectsMeasurementNamingABadNode) {
+  const std::vector<uwb::NodePosition> pts = {{0, 0}, {4, 0}, {0, 4}, {1, 1}};
+  const auto message = [&](const std::vector<uwb::PairDistance>& obs) {
+    try {
+      uwb::solve_positions_2d(pts, 3, obs);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  const uwb::PairDistance good = {0, 3, 1.4};
+  // Out of [0, n) on either side, and a node paired with itself: each
+  // names the offending measurement and node.
+  EXPECT_NE(message({good, {3, 4, 2.0}}).find("measurement 1 names node 4"),
+            std::string::npos);
+  EXPECT_NE(message({{-1, 3, 2.0}}).find("measurement 0 names node -1"),
+            std::string::npos);
+  EXPECT_NE(message({good, good, {3, 3, 0.0}})
+                .find("measurement 2 pairs node 3 with itself"),
+            std::string::npos);
+  EXPECT_NE(message({{1, 1, 0.0}}).find("pairs node 1 with itself"),
+            std::string::npos);
+  EXPECT_EQ(message({good, {1, 3, 3.2}, {2, 3, 3.2}}), "no throw");
+}
+
+// ------------------------------------------- position solver bitwise oracle
+
+// The multi-start solver before its start-independent init was hoisted out
+// of the start loop and its sweeps learned to stop at a bitwise fixed point:
+// every start re-seeds the bias, re-trilaterates every unknown and runs all
+// `sweeps`. Kept verbatim as the oracle the faster solver must match bit for
+// bit.
+namespace reference {
+
+double distance_between(const uwb::NodePosition& a,
+                        const uwb::NodePosition& b) {
+  return std::hypot(a.x - b.x, a.y - b.y);
+}
+
+bool trilaterate(const std::vector<uwb::NodePosition>& refs,
+                 const std::vector<double>& dists, uwb::NodePosition* out) {
+  if (refs.size() < 3) return false;
+  const double x0 = refs[0].x, y0 = refs[0].y, d0 = dists[0];
+  double a11 = 0, a12 = 0, a22 = 0, b1 = 0, b2 = 0;
+  for (std::size_t i = 1; i < refs.size(); ++i) {
+    const double ax = 2.0 * (refs[i].x - x0);
+    const double ay = 2.0 * (refs[i].y - y0);
+    const double rhs = d0 * d0 - dists[i] * dists[i] +
+                       (refs[i].x * refs[i].x - x0 * x0) +
+                       (refs[i].y * refs[i].y - y0 * y0);
+    a11 += ax * ax;
+    a12 += ax * ay;
+    a22 += ay * ay;
+    b1 += ax * rhs;
+    b2 += ay * rhs;
+  }
+  const double det = a11 * a22 - a12 * a12;
+  if (std::abs(det) < 1e-12) return false;  // collinear references
+  out->x = (a22 * b1 - a12 * b2) / det;
+  out->y = (a11 * b2 - a12 * b1) / det;
+  return true;
+}
+
+std::vector<uwb::NodePosition> solve_positions_2d(
+    const std::vector<uwb::NodePosition>& positions_init, int anchor_count,
+    const std::vector<uwb::PairDistance>& measurements, int sweeps,
+    bool estimate_range_bias, double* bias_out) {
+  using uwb::NodePosition;
+  using uwb::PairDistance;
+  const int n = static_cast<int>(positions_init.size());
+  if (anchor_count < 3)
+    throw std::invalid_argument(
+        "solve_positions_2d: need >= 3 anchors to fix the 2-D gauge");
+  if (anchor_count > n)
+    throw std::invalid_argument("solve_positions_2d: more anchors than nodes");
+
+  const auto solve_from = [&](const std::vector<PairDistance>& measurements,
+                              double off_x, double off_y, double* bias_used) {
+    std::vector<NodePosition> pos = positions_init;
+    for (int k = anchor_count; k < n; ++k) {
+      pos[static_cast<std::size_t>(k)].x += off_x;
+      pos[static_cast<std::size_t>(k)].y += off_y;
+    }
+
+    double bias = 0.0;
+    if (estimate_range_bias) {
+      double sum = 0.0;
+      int count = 0;
+      for (const auto& m : measurements) {
+        if (m.node_a >= anchor_count || m.node_b >= anchor_count) continue;
+        sum += m.distance -
+               distance_between(pos[static_cast<std::size_t>(m.node_a)],
+                                pos[static_cast<std::size_t>(m.node_b)]);
+        ++count;
+      }
+      if (count > 0) bias = sum / count;
+    }
+
+    for (int k = anchor_count; k < n; ++k) {
+      std::vector<NodePosition> refs;
+      std::vector<double> dists;
+      for (const auto& m : measurements) {
+        const int other =
+            m.node_a == k ? m.node_b : (m.node_b == k ? m.node_a : -1);
+        if (other < 0 || other >= anchor_count) continue;
+        refs.push_back(positions_init[static_cast<std::size_t>(other)]);
+        dists.push_back(m.distance - bias);
+      }
+      NodePosition p;
+      if (trilaterate(refs, dists, &p)) pos[static_cast<std::size_t>(k)] = p;
+    }
+
+    for (int sweep = 0; sweep < sweeps; ++sweep) {
+      if (estimate_range_bias) {
+        double sum = 0.0;
+        int count = 0;
+        for (const auto& m : measurements) {
+          sum += m.distance -
+                 distance_between(pos[static_cast<std::size_t>(m.node_a)],
+                                  pos[static_cast<std::size_t>(m.node_b)]);
+          ++count;
+        }
+        if (count > 0) bias = sum / count;
+      }
+      for (int k = anchor_count; k < n; ++k) {
+        double a11 = 1e-9, a12 = 0, a22 = 1e-9, b1 = 0, b2 = 0;
+        auto& pk = pos[static_cast<std::size_t>(k)];
+        for (const auto& m : measurements) {
+          const int other =
+              m.node_a == k ? m.node_b : (m.node_b == k ? m.node_a : -1);
+          if (other < 0) continue;
+          const auto& po = pos[static_cast<std::size_t>(other)];
+          const double dx = pk.x - po.x;
+          const double dy = pk.y - po.y;
+          const double r = std::hypot(dx, dy);
+          if (r < 1e-9) continue;
+          const double ux = dx / r, uy = dy / r;
+          const double res = r - (m.distance - bias);
+          a11 += ux * ux;
+          a12 += ux * uy;
+          a22 += uy * uy;
+          b1 += ux * res;
+          b2 += uy * res;
+        }
+        const double det = a11 * a22 - a12 * a12;
+        if (std::abs(det) < 1e-15) continue;
+        pk.x -= (a22 * b1 - a12 * b2) / det;
+        pk.y -= (a11 * b2 - a12 * b1) / det;
+      }
+    }
+    *bias_used = bias;
+    return pos;
+  };
+
+  const auto total_residual = [&](const std::vector<PairDistance>& measurements,
+                                  const std::vector<NodePosition>& pos,
+                                  double bias) {
+    double ssq = 0.0;
+    for (const auto& m : measurements) {
+      const double r =
+          distance_between(pos[static_cast<std::size_t>(m.node_a)],
+                           pos[static_cast<std::size_t>(m.node_b)]) -
+          (m.distance - bias);
+      ssq += r * r;
+    }
+    return ssq;
+  };
+
+  double spread = 0.0;
+  for (int i = 0; i < anchor_count; ++i)
+    for (int j = i + 1; j < anchor_count; ++j)
+      spread = std::max(spread,
+                        distance_between(positions_init[static_cast<std::size_t>(i)],
+                                         positions_init[static_cast<std::size_t>(j)]));
+  const double r0 = spread > 0.0 ? spread : 1.0;
+  const double offsets[][2] = {{0, 0},   {r0, 0},   {-r0, 0},  {0, r0},
+                               {0, -r0}, {r0, r0},  {-r0, -r0}, {r0, -r0},
+                               {-r0, r0}};
+  const auto run_multistart = [&](const std::vector<PairDistance>& meas,
+                                  double* bias_used) {
+    std::vector<NodePosition> best;
+    double best_bias = 0.0;
+    double best_ssq = 0.0;
+    bool first = true;
+    for (const auto& off : offsets) {
+      double bias = 0.0;
+      auto pos = solve_from(meas, off[0], off[1], &bias);
+      const double ssq = total_residual(meas, pos, bias);
+      if (first || ssq < best_ssq) {
+        best = std::move(pos);
+        best_bias = bias;
+        best_ssq = ssq;
+        first = false;
+      }
+    }
+    *bias_used = best_bias;
+    return best;
+  };
+
+  double best_bias = 0.0;
+  std::vector<NodePosition> best = run_multistart(measurements, &best_bias);
+
+  std::vector<double> abs_res;
+  abs_res.reserve(measurements.size());
+  for (const auto& m : measurements) {
+    const double r =
+        distance_between(best[static_cast<std::size_t>(m.node_a)],
+                         best[static_cast<std::size_t>(m.node_b)]) -
+        (m.distance - best_bias);
+    abs_res.push_back(std::abs(r));
+  }
+  if (!abs_res.empty()) {
+    std::vector<double> sorted = abs_res;
+    std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
+                     sorted.end());
+    const double median = sorted[sorted.size() / 2];
+    const double cut = std::max(3.0 * median, 2.0);
+    std::vector<PairDistance> kept;
+    kept.reserve(measurements.size());
+    for (std::size_t i = 0; i < measurements.size(); ++i)
+      if (abs_res[i] <= cut) kept.push_back(measurements[i]);
+    if (kept.size() < measurements.size() &&
+        static_cast<int>(kept.size()) >= 3 * (n - anchor_count))
+      best = run_multistart(kept, &best_bias);
+  }
+
+  if (bias_out != nullptr) *bias_out = best_bias;
+  return best;
+}
+
+}  // namespace reference
+
+struct SolverCase {
+  std::vector<uwb::NodePosition> init;
+  int anchors = 3;
+  std::vector<uwb::PairDistance> obs;
+};
+
+// Measured distance of a link: truth plus gaussian noise, a common offset
+// (what the bias estimate fits) and, now and then, a +9.6 m wrong-slot
+// latch (what the trimmed re-solve drops).
+double draw_distance(base::Rng& rng, const uwb::NodePosition& a,
+                     const uwb::NodePosition& b, double offset) {
+  double d = reference::distance_between(a, b) + offset +
+             rng.gaussian(0.0, 0.3);
+  if (rng.uniform() < 0.15) d += 9.6;
+  return d;
+}
+
+// One tag against 3-8 anchors on a 5 m lattice, initialized at the anchor
+// centroid as the netscale engine does. A third of the cases put every
+// anchor in one row, so trilateration fails and all nine starts run.
+SolverCase single_tag_case(base::Rng& rng) {
+  SolverCase c;
+  c.anchors = rng.uniform_int(3, 8);
+  const bool collinear = rng.uniform() < 1.0 / 3.0;
+  const int row = rng.uniform_int(0, 3);
+  std::set<std::pair<int, int>> used;
+  while (static_cast<int>(used.size()) < c.anchors) {
+    const int col = rng.uniform_int(0, collinear ? 7 : 3);
+    used.insert({col, collinear ? row : rng.uniform_int(0, 3)});
+  }
+  uwb::NodePosition centroid;
+  for (const auto& [col, r] : used) {
+    c.init.push_back({5.0 * col, 5.0 * r});
+    centroid.x += 5.0 * col / c.anchors;
+    centroid.y += 5.0 * r / c.anchors;
+  }
+  const uwb::NodePosition tag = {rng.uniform(-2.0, 17.0),
+                                 rng.uniform(-2.0, 17.0)};
+  const double offset = rng.uniform(0.0, 1.5);
+  // Anchor-anchor links only reach the bias estimate.
+  for (int i = 0; i < c.anchors; ++i)
+    for (int j = i + 1; j < c.anchors; ++j)
+      if (rng.uniform() < 0.3)
+        c.obs.push_back({i, j, draw_distance(rng, c.init[i], c.init[j], offset)});
+  for (int i = 0; i < c.anchors; ++i)
+    c.obs.push_back({i, c.anchors, draw_distance(rng, c.init[i], tag, offset)});
+  c.init.push_back(centroid);
+  return c;
+}
+
+// 3-5 anchors and 2-6 unknowns scattered over a 20 m square, with sparse
+// anchor links so that some unknowns cannot trilaterate and take the start
+// offsets. Unknowns start from the anchor centroid or a random point.
+SolverCase network_case(base::Rng& rng) {
+  SolverCase c;
+  c.anchors = rng.uniform_int(3, 5);
+  const int n = c.anchors + rng.uniform_int(2, 6);
+  std::vector<uwb::NodePosition> truth;
+  for (int i = 0; i < n; ++i)
+    truth.push_back({rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0)});
+  c.init = truth;
+  uwb::NodePosition centroid;
+  for (int i = 0; i < c.anchors; ++i) {
+    centroid.x += truth[i].x / c.anchors;
+    centroid.y += truth[i].y / c.anchors;
+  }
+  for (int k = c.anchors; k < n; ++k)
+    c.init[k] = rng.uniform() < 0.5
+                    ? centroid
+                    : uwb::NodePosition{rng.uniform(0.0, 20.0),
+                                        rng.uniform(0.0, 20.0)};
+  const double offset = rng.uniform(0.0, 1.5);
+  for (int i = 0; i < n; ++i)
+    for (int j = i + 1; j < n; ++j) {
+      const double keep =
+          i < c.anchors ? (j < c.anchors ? 1.0 : 0.55) : 0.7;
+      if (rng.uniform() < keep)
+        c.obs.push_back({i, j, draw_distance(rng, truth[i], truth[j], offset)});
+    }
+  return c;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// Runs both solvers on `c` for every bias mode and sweep budget; returns ""
+// when every position and bias matches bit for bit, else what differed.
+std::string oracle_mismatch(const SolverCase& c) {
+  for (const bool bias_on : {false, true})
+    for (const int sweeps : {0, 1, 16, 24}) {
+      double bias_ref = -1.0, bias_new = -2.0;
+      const auto ref = reference::solve_positions_2d(
+          c.init, c.anchors, c.obs, sweeps, bias_on, &bias_ref);
+      const auto got = uwb::solve_positions_2d(c.init, c.anchors, c.obs,
+                                               sweeps, bias_on, &bias_new);
+      const std::string where = " (nodes " + std::to_string(c.init.size()) +
+                                ", anchors " + std::to_string(c.anchors) +
+                                ", links " + std::to_string(c.obs.size()) +
+                                ", bias " + std::to_string(bias_on) +
+                                ", sweeps " + std::to_string(sweeps) + ")";
+      if (got.size() != ref.size()) return "size" + where;
+      for (std::size_t k = 0; k < ref.size(); ++k)
+        if (!same_bits(got[k].x, ref[k].x) || !same_bits(got[k].y, ref[k].y))
+          return "node " + std::to_string(k) + where;
+      if (!same_bits(bias_new, bias_ref)) return "bias" + where;
+    }
+  return "";
+}
+
+TEST(PositionSolver, SingleTagMatchesReferenceBitwise) {
+  base::Rng rng(0x5eed0001ULL);
+  for (int i = 0; i < 400; ++i) {
+    const SolverCase c = single_tag_case(rng);
+    ASSERT_EQ(oracle_mismatch(c), "") << "case " << i;
+  }
+}
+
+TEST(PositionSolver, NetworkMatchesReferenceBitwise) {
+  base::Rng rng(0x5eed0002ULL);
+  for (int i = 0; i < 300; ++i) {
+    const SolverCase c = network_case(rng);
+    ASSERT_EQ(oracle_mismatch(c), "") << "case " << i;
+  }
 }
 
 }  // namespace
