@@ -25,7 +25,7 @@ double integrate_value(uwb::IntegrateAndDump& itd, double& input, double vin,
   auto run = [&](uwb::IntegrateAndDump::Mode m, double dur) {
     itd.set_mode(m);
     for (const double end = t + dur; t < end - dt / 2; t += dt)
-      itd.step(t, dt);
+      itd.step_block(&t, dt, 1);
   };
   input = 0.0;
   run(uwb::IntegrateAndDump::Mode::kDump, 40e-9);

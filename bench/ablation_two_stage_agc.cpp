@@ -46,7 +46,6 @@ AgcOutcome run_link(bool two_stage, std::uint64_t seed) {
   sys.two_stage_agc = two_stage;
 
   ams::Kernel kernel(sys.dt);
-  kernel.enable_batching();
   uwb::Transmitter tx(sys);
   uwb::ChannelBlock chan(sys, nullptr);
   kernel.add_analog(tx);

@@ -27,7 +27,7 @@ base::Trace run_cycle(uwb::IntegrateAndDump& itd, double& input,
   auto run = [&](uwb::IntegrateAndDump::Mode m, double dur) {
     itd.set_mode(m);
     for (const double end = t + dur; t < end - dt / 2; t += dt) {
-      itd.step(t, dt);
+      itd.step_block(&t, dt, 1);
       trace.record(t, itd.output());
     }
   };

@@ -23,11 +23,10 @@ REGISTER_SCENARIO(quickstart, "example",
                               .multipath(false)
                               .system();
 
-  // 2. The AMS kernel and the analog chain, in dataflow order. Batched
-  //    execution is opt-in and bit-identical: blocks advance in
-  //    event-bounded batches instead of one virtual call per 0.2 ns sample.
+  // 2. The AMS kernel and the analog chain, in dataflow order. Blocks
+  //    advance in event-bounded batches instead of one virtual call per
+  //    0.2 ns sample.
   ams::Kernel kernel(sys.dt);
-  kernel.enable_batching();
   uwb::Transmitter tx(sys);
   uwb::ChannelBlock channel(sys, nullptr);
   kernel.add_analog(tx);

@@ -1,20 +1,16 @@
 #include "ams/kernel.hpp"
 
-#include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
 namespace uwbams::ams {
 
-Kernel::Kernel(double dt) : dt_(dt) {
+Kernel::Kernel(double dt)
+    : dt_(dt), batch_hist_(static_cast<std::size_t>(kMaxBatch) + 1, 0) {
   if (dt <= 0.0) throw std::invalid_argument("Kernel: dt must be positive");
 }
 
-void Kernel::add_analog(AnalogBlock& block) {
-  analog_.push_back(&block);
-  all_blocks_batch_ = all_blocks_batch_ && block.supports_batch();
-}
+void Kernel::add_analog(AnalogBlock& block) { analog_.push_back(&block); }
 
 void Kernel::schedule(DigitalProcess& process, double t) {
   if (t < t_ - 0.5 * dt_)
@@ -26,16 +22,6 @@ void Kernel::schedule_callback(double t, std::function<void(double)> fn) {
   if (t < t_ - 0.5 * dt_)
     throw std::invalid_argument("Kernel::schedule_callback: time in the past");
   events_.push(Event{t, seq_++, nullptr, std::move(fn)});
-}
-
-void Kernel::enable_batching(int capacity) {
-  capacity = std::clamp(capacity, 1, kMaxBatch);
-  if (const char* env = std::getenv("UWBAMS_BATCH_CAP"))
-    capacity = std::clamp(std::atoi(env), 1, kMaxBatch);
-  if (const char* env = std::getenv("UWBAMS_FORCE_SCALAR"))
-    if (env[0] == '1') capacity = 1;
-  batch_capacity_ = capacity;
-  batch_hist_.assign(static_cast<std::size_t>(kMaxBatch) + 1, 0);
 }
 
 void Kernel::fire_due_events() {
@@ -56,29 +42,25 @@ void Kernel::fire_due_events() {
 
 void Kernel::step() {
   fire_due_events();
-  for (AnalogBlock* b : analog_) b->step(t_, dt_);
+  for (AnalogBlock* b : analog_) b->step_block(&t_, dt_, 1);
   t_ += dt_;
   ++steps_;
 }
 
 void Kernel::run_until(double t_stop) {
-  if (!batching_active()) {
-    while (t_ < t_stop - 0.5 * dt_) step();
-    return;
-  }
-  // Batched path: fire due events, then advance the longest run of samples
-  // that reaches neither the next due event nor t_stop nor the capacity.
-  // The admission test per candidate sample is exactly the per-sample
-  // path's fire condition, and the sample times are built with the same
-  // repeated addition, so every digital event fires at the identical
-  // sample boundary it would on the scalar path.
+  // Fire due events, then advance the longest run of samples that reaches
+  // neither the next due event nor t_stop nor kMaxBatch. The admission test
+  // per candidate sample is exactly fire_due_events()' condition, and the
+  // sample times are built with the same repeated addition as step(), so
+  // every digital event fires at the identical sample boundary it would
+  // under single-sample stepping.
   const double due_eps = 0.25 * dt_;
   const double stop = t_stop - 0.5 * dt_;
   while (t_ < stop) {
     fire_due_events();
     int n = 0;
     double tt = t_;
-    while (n < batch_capacity_ && tt < stop &&
+    while (n < kMaxBatch && tt < stop &&
            !(!events_.empty() && events_.top().t <= tt + due_eps)) {
       batch_times_[static_cast<std::size_t>(n++)] = tt;
       tt += dt_;

@@ -21,16 +21,13 @@
 // exactly on the kernel boundary, so block wiring and determinism are
 // unaffected by the embedded solver's step choices.
 //
-// Batched execution (opt-in, see enable_batching()): run_until() advances
-// the analog blocks in *event-bounded batches* of up to kMaxBatch samples.
-// The batch boundary is min(samples to the next due digital event, batch
-// capacity, samples to t_stop), so digital processes observe exactly the
-// same sample boundaries as the per-sample path, and batch-capable blocks
-// (supports_batch()) process tight per-sample loops over their producers'
-// output buffers with bit-identical results (same per-sample operation
-// order, same RNG draw order). A single registered block without batch
-// support drops the whole kernel back to the per-sample path — the scalar
-// step() fallback is always preserved.
+// Batched execution: run_until() advances the analog blocks in
+// *event-bounded batches* of up to kMaxBatch samples. The batch boundary is
+// min(samples to the next due digital event, kMaxBatch, samples to t_stop),
+// so digital processes observe every sample boundary exactly as if the
+// kernel stepped one sample at a time, and each block processes a tight
+// per-sample loop over its producers' output buffers (same per-sample
+// operation order, same RNG draw order at any batch cut).
 #pragma once
 
 #include <array>
@@ -43,42 +40,30 @@ namespace uwbams::ams {
 
 class Kernel;
 
-// Upper bound on the batched-execution block size (samples). Batch-capable
-// blocks preallocate their output signal buffers at this capacity, so the
-// constant also fixes the per-block buffer footprint (2 KiB of doubles).
+// Upper bound on the batch size (samples). Blocks preallocate their output
+// signal buffers at this capacity, so the constant also fixes the per-block
+// buffer footprint (2 KiB of doubles).
 inline constexpr int kMaxBatch = 256;
 
 // A block advanced once per analog time step, in registration order.
 // Communication is through plain double signals owned by the blocks;
 // consumers hold const pointers to producer outputs (wired by the
-// testbench at build time). For a batch-capable block the pointer returned
-// by its out() accessor is the base of a kMaxBatch-deep sample buffer:
-// element 0 is the live per-sample value ONLY on the scalar path; during
-// batched runs elements 0..n-1 hold the current batch (element 0 = the
-// batch's first sample), so code that dereferences raw signal pointers
-// between steps must keep its kernel on the scalar path.
+// testbench at build time). The pointer returned by a block's out()
+// accessor is the base of a kMaxBatch-deep sample buffer: after a batch of
+// n samples, elements 0..n-1 hold that batch (element 0 = its first
+// sample). Element 0 is the live sample only after a single-sample step
+// (Kernel::step(), or step_block() with n = 1), so code that dereferences
+// raw signal pointers between steps must advance one sample at a time.
 class AnalogBlock {
  public:
   virtual ~AnalogBlock() = default;
-  // Advance internal state from t to t+dt using the inputs sampled at the
-  // wired signals. Outputs must be updated before returning.
-  virtual void step(double t, double dt) = 0;
-
-  // True when this block implements step_block() over per-sample signal
-  // buffers. The kernel batches only when *every* registered block agrees,
-  // so the default keeps any custom block on the per-sample path.
-  virtual bool supports_batch() const { return false; }
-
-  // Advance n samples whose times are t[0..n-1] (t[i+1] = t[i] + dt, the
-  // same accumulated values the per-sample path would see). A batch-capable
-  // block must read its inputs per sample (producer buffers filled earlier
-  // in registration order this batch) and write its own output buffer
-  // samples 0..n-1. Must be bit-identical to n calls of step(): same
-  // per-sample operation order, same RNG draw order. The default runs the
-  // scalar fallback (never invoked by the kernel unless supports_batch()).
-  virtual void step_block(const double* t, double dt, int n) {
-    for (int i = 0; i < n; ++i) step(t[i], dt);
-  }
+  // Advance n samples whose times are t[0..n-1] (t[i+1] = t[i] + dt, built
+  // by repeated addition). The block reads its inputs per sample (producer
+  // buffers filled earlier in registration order this batch) and writes
+  // its own output samples 0..n-1. The result must not depend on where a
+  // run is cut into batches: same per-sample operation order, same RNG draw
+  // order for any n.
+  virtual void step_block(const double* t, double dt, int n) = 0;
 };
 
 // An event-driven digital process. wake() may schedule further events.
@@ -104,33 +89,18 @@ class Kernel {
   // Schedules a one-shot callback at absolute time t.
   void schedule_callback(double t, std::function<void(double)> fn);
 
-  // Opts this kernel into batched execution with the given batch capacity
-  // (clamped to [1, kMaxBatch]). Only call when every registered block's
-  // input is wired to a batch-capable producer output (a block out()
-  // buffer) — not to a plain scalar double — since batched consumers index
-  // their input pointer per sample. Environment overrides (read here, so a
-  // later call re-reads them): UWBAMS_FORCE_SCALAR=1 pins the capacity to 1
-  // (the CI honesty toggle that forces the per-sample fallback), and
-  // UWBAMS_BATCH_CAP=n overrides the capacity.
-  void enable_batching(int capacity = kMaxBatch);
-  int batch_capacity() const { return batch_capacity_; }
-  // True when run_until() will actually batch: capacity > 1 and every
-  // registered block supports_batch().
-  bool batching_active() const {
-    return batch_capacity_ > 1 && all_blocks_batch_ && !analog_.empty();
-  }
   // Count of executed batches by size (index = batch length in samples;
-  // index 0 unused). Sized kMaxBatch+1 once batching is enabled.
+  // index 0 unused; single-sample step() calls are not counted).
   const std::vector<std::uint64_t>& batch_histogram() const {
     return batch_hist_;
   }
 
   // Runs one analog step: first fires every digital event due at or before
-  // the current time, then advances all analog blocks by dt. Always the
-  // per-sample path (batching applies to run_until only).
+  // the current time, then advances all analog blocks by one sample (a
+  // batch of n = 1).
   void step();
   // Steps until time() >= t_stop (within half a step), in event-bounded
-  // batches when batching_active().
+  // batches.
   void run_until(double t_stop);
 
  private:
@@ -153,12 +123,9 @@ class Kernel {
   std::vector<AnalogBlock*> analog_;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
 
-  // Batched execution state. batch_times_ carries the per-sample times of
-  // the current batch, built by the same repeated `t += dt` accumulation
-  // the per-sample path performs, so block time arguments are bit-identical
-  // across batch capacities.
-  int batch_capacity_ = 1;
-  bool all_blocks_batch_ = true;
+  // batch_times_ carries the per-sample times of the current batch, built
+  // by the same repeated `t += dt` accumulation step() performs, so block
+  // time arguments do not depend on where batches are cut.
   std::array<double, kMaxBatch> batch_times_{};
   std::vector<std::uint64_t> batch_hist_;
 };

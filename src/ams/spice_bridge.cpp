@@ -49,25 +49,28 @@ void SpiceBridge::prime() {
     *out.value = session_->v(out.p) - session_->v(out.m);
 }
 
-void SpiceBridge::step(double /*t*/, double dt) {
+void SpiceBridge::step_block(const double* /*t*/, double dt, int n) {
   if (!primed()) prime();
-  for (auto& in : inputs_) {
-    double target = *in.signal;
-    if (in.slew_per_ns > 0.0 && in.has_last) {
-      const double max_delta = in.slew_per_ns * dt * 1e9;
-      target = std::clamp(target, in.last - max_delta, in.last + max_delta);
+  for (int i = 0; i < n; ++i) {
+    for (auto& in : inputs_) {
+      double target = *in.signal;
+      if (in.slew_per_ns > 0.0 && in.has_last) {
+        const double max_delta = in.slew_per_ns * dt * 1e9;
+        target = std::clamp(target, in.last - max_delta, in.last + max_delta);
+      }
+      in.last = target;
+      in.source->set_override(target);
     }
-    in.last = target;
-    in.source->set_override(target);
+    // With adaptive stepping enabled the embedded solver sub-steps the
+    // macro interval under LTE control; otherwise it takes the kernel's
+    // step as-is.
+    if (opts_.adaptive.enabled)
+      session_->advance_to(session_->time() + dt);
+    else
+      session_->step(dt);
+    for (auto& out : outputs_)
+      *out.value = session_->v(out.p) - session_->v(out.m);
   }
-  // With adaptive stepping enabled the embedded solver sub-steps the macro
-  // interval under LTE control; otherwise it takes the kernel's step as-is.
-  if (opts_.adaptive.enabled)
-    session_->advance_to(session_->time() + dt);
-  else
-    session_->step(dt);
-  for (auto& out : outputs_)
-    *out.value = session_->v(out.p) - session_->v(out.m);
 }
 
 double SpiceBridge::v(const std::string& node) const {

@@ -42,16 +42,14 @@ class SpiceBridge : public AnalogBlock {
   void prime();
   bool primed() const { return session_ != nullptr; }
 
-  void step(double t, double dt) override;
-  // Batch support at the macro-step boundary: the inherited step_block()
-  // fallback runs one embedded macro step per batch sample, re-reading the
-  // bound input signals each sub-step. That is exactly the per-sample
-  // sequence when the bound signals are plain scalars (constant over a
-  // batch) or driven per sub-step by a wrapper such as uwb::SpiceIntegrator.
-  // Do NOT wire a bound input directly at a *batched producer's* out()
-  // buffer while registering both in one batching kernel — the bridge would
-  // re-read sample 0; wrap it (as SpiceIntegrator does) instead.
-  bool supports_batch() const override { return true; }
+  // Runs one embedded macro step of length dt per batch sample,
+  // re-reading the bound input signals each sample. That is exactly the
+  // per-sample sequence when the bound signals are plain scalars (constant
+  // over a batch) or driven per sample by a wrapper such as
+  // uwb::SpiceIntegrator, which calls this with n = 1. Do NOT wire a bound
+  // input directly at a producer's out() buffer — the bridge would re-read
+  // sample 0 of the batch; wrap it (as SpiceIntegrator does) instead.
+  void step_block(const double* t, double dt, int n) override;
 
   // Direct probe (valid after prime()).
   double v(const std::string& node) const;

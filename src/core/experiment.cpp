@@ -17,9 +17,6 @@ SystemRunResult run_system_simulation(const SystemRunConfig& config) {
 
   uwb::SystemConfig sys = config.sys;
   ams::Kernel kernel(sys.dt);
-  // Block-wired chain of batch-capable blocks: event-bounded batching is
-  // bit-identical to the per-sample path and is what table1_cpu measures.
-  kernel.enable_batching();
 
   uwb::Transmitter tx(sys);
   uwb::ChannelBlock chan(sys, nullptr);

@@ -1,9 +1,11 @@
 #include "serve/cache.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -19,10 +21,18 @@ ResultCache::ResultCache(std::string dir, std::size_t mem_entries)
   if (dir_.empty()) return;
   fs::create_directories(dir_);
   if (const char* mb = std::getenv("UWBAMS_CACHE_MAX_MB")) {
+    // Strict: the whole value must be a finite, non-negative size whose
+    // byte count fits std::uintmax_t (2^64 as a double is the first value
+    // that does not).
     char* end = nullptr;
-    const double v = std::strtod(mb, &end);
-    if (end != mb && v > 0.0)
-      disk_max_bytes_ = static_cast<std::uintmax_t>(v * 1024.0 * 1024.0);
+    const double bytes = std::strtod(mb, &end) * 1024.0 * 1024.0;
+    if (end == mb || *end != '\0' || !(bytes >= 0.0) ||
+        bytes >= std::ldexp(1.0, std::numeric_limits<std::uintmax_t>::digits))
+      throw std::invalid_argument(
+          std::string("UWBAMS_CACHE_MAX_MB: expected a finite non-negative "
+                      "size in megabytes, got '") +
+          mb + "'");
+    disk_max_bytes_ = static_cast<std::uintmax_t>(bytes);
   }
 }
 

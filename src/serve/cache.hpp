@@ -48,7 +48,9 @@ class ResultCache {
 
   /// `dir` empty = memory-only. `mem_entries` bounds the LRU (>= 1). The
   /// disk cap initializes from UWBAMS_CACHE_MAX_MB when set (fractional
-  /// megabytes accepted; <= 0 or unparsable means unbounded).
+  /// megabytes accepted; 0 means unbounded). Throws std::invalid_argument
+  /// when that value is not entirely a finite non-negative number, or its
+  /// byte count overflows std::uintmax_t.
   explicit ResultCache(std::string dir = "", std::size_t mem_entries = 64);
 
   /// True (payload in *out) on a hit; promotes the entry to most-recent.

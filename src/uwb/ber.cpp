@@ -38,11 +38,7 @@ struct GenieLink {
                  return chan.out();
                }()),
         rx(kernel, cfg, interf.out(), make_integrator),
-        prop_delay(cfg.distance / units::speed_of_light) {
-    // Every registered block is batch-capable and block-wired, so the
-    // event-bounded batched path applies (bit-identical to per-sample).
-    kernel.enable_batching();
-  }
+        prop_delay(cfg.distance / units::speed_of_light) {}
 
   // Sends `bits` starting one symbol after `t0`; returns the end time.
   double send_payload(const std::vector<bool>& bits, double t0) {

@@ -281,21 +281,6 @@ void ChannelBlock::rebuild_taps() {
   write_pos_ = 0;
 }
 
-void ChannelBlock::step(double /*t*/, double /*dt*/) {
-  delay_line_[write_pos_] = (in_ != nullptr) ? *in_ : 0.0;
-  const std::size_t n = delay_line_.size();
-  double acc = 0.0;
-  for (const auto& tap : sampled_) {
-    const std::size_t idx =
-        (write_pos_ + n - static_cast<std::size_t>(tap.delay_samples)) % n;
-    acc += tap.gain * delay_line_[idx];
-  }
-  if (n0_ > 0.0)
-    acc += rng_.gaussian() * std::sqrt(0.5 * n0_ * cfg_.sample_rate());
-  out_[0] = acc;
-  write_pos_ = (write_pos_ + 1) % n;
-}
-
 void ChannelBlock::step_block(const double* /*t*/, double /*dt*/, int n) {
   const std::size_t len = delay_line_.size();
   // Phase 1: write the whole batch into the ring. Tap reads only ever look
@@ -310,8 +295,8 @@ void ChannelBlock::step_block(const double* /*t*/, double /*dt*/, int n) {
     }
   }
   // Phase 2: accumulate taps. Looping taps outer / samples inner adds each
-  // sample's contributions in the same tap order as the per-sample path, so
-  // the floating-point sums are bit-identical. Each tap reads the ring as at
+  // sample's contributions in tap order whatever the batch size, so the
+  // floating-point sums do not depend on batch cuts. Each tap reads the ring as at
   // most two contiguous spans (up to the end of the line, then from its
   // start), so the inner loops carry no wrap branch.
   for (int i = 0; i < n; ++i) out_[i] = 0.0;
@@ -326,9 +311,8 @@ void ChannelBlock::step_block(const double* /*t*/, double /*dt*/, int n) {
     for (int i = 0; i < head; ++i) out_[i] += g * span[i];
     for (int i = head; i < n; ++i) out_[i] += g * line[i - head];
   }
-  // Phase 3: the AWGN draws, one per sample in sample order — the identical
-  // RNG sequence of the per-sample path (the hoisted sqrt is the same value
-  // the scalar expression recomputes).
+  // Phase 3: the AWGN draws, one per sample in sample order, so the RNG
+  // sequence does not depend on batch cuts.
   if (n0_ > 0.0) {
     const double s = std::sqrt(0.5 * n0_ * cfg_.sample_rate());
     for (int i = 0; i < n; ++i) out_[i] += rng_.gaussian() * s;

@@ -107,13 +107,12 @@ double path_loss_db(double distance_m, double pl0_db, double exponent);
 /// Propagation + noise block: delays the transmit waveform by distance/c,
 /// convolves with the tap set, adds white Gaussian noise of PSD N0/2.
 ///
-/// Batch-capable: step_block() writes the whole input batch into the delay
-/// line first (the ring keeps kMaxBatch slots of headroom beyond the longest
-/// tap so no pending history is overwritten), then accumulates tap
-/// contributions per sample in tap order and draws the per-sample Gaussian
-/// noise in sample order — the identical operation and RNG sequence of the
-/// per-sample path, with the ring-index modulo hoisted out of the inner
-/// loops.
+/// step_block() writes the whole input batch into the delay line first (the
+/// ring keeps kMaxBatch slots of headroom beyond the longest tap so no
+/// pending history is overwritten), then accumulates tap contributions per
+/// sample in tap order and draws the per-sample Gaussian noise in sample
+/// order — the same operation and RNG sequence at any batch cut, with the
+/// ring-index modulo hoisted out of the inner loops.
 class ChannelBlock : public ams::AnalogBlock {
  public:
   /// `input` is the transmitter output signal; it may be null at
@@ -150,8 +149,6 @@ class ChannelBlock : public ams::AnalogBlock {
   void set_noise_psd(double n0) { n0_ = n0; }
   void reseed(std::uint64_t seed) { rng_.reseed(seed); }
 
-  void step(double t, double dt) override;
-  bool supports_batch() const override { return true; }
   void step_block(const double* t, double dt, int n) override;
   const double* out() const { return out_; }
 

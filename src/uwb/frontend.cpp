@@ -18,15 +18,9 @@ void Amplifier::set_gain_db(double gain_db) {
   gain_lin_ = units::db_to_lin(gain_db);
 }
 
-void Amplifier::step(double /*t*/, double dt) {
-  double v = gain_lin_ * (*in_);
-  if (bw_ > 0.0) v = pole_.step(v, dt);
-  out_[0] = std::clamp(v, -sat_, sat_);
-}
-
 void Amplifier::step_block(const double* /*t*/, double dt, int n) {
-  // Same per-sample operations as step(); the pole recurrence is inherently
-  // serial, the unlimited-bandwidth branch is a pure vectorizable map.
+  // The pole recurrence is inherently serial; the unlimited-bandwidth
+  // branch is a pure vectorizable map.
   const double* in = in_;
   const double g = gain_lin_;
   const double sat = sat_;
@@ -43,27 +37,15 @@ void Amplifier::step_block(const double* /*t*/, double dt, int n) {
 SummingJunction::SummingJunction(std::vector<const double*> inputs)
     : in_(std::move(inputs)) {}
 
-void SummingJunction::step(double /*t*/, double /*dt*/) {
-  double acc = 0.0;
-  for (const double* src : in_) acc += *src;
-  out_[0] = acc;
-}
-
 void SummingJunction::step_block(const double* /*t*/, double /*dt*/, int n) {
-  // Sources outer, samples inner, accumulating in source order — each
-  // sample's sum is built in the same order as step(), so the batch path
-  // is bit-identical to the scalar path.
+  // Sources outer, samples inner, accumulating in source order: each
+  // sample's sum is built in registration order whatever the batch size.
   for (int i = 0; i < n; ++i) out_[i] = 0.0;
   for (const double* src : in_)
     for (int i = 0; i < n; ++i) out_[i] += src[i];
 }
 
 Squarer::Squarer(const double* input, double k) : in_(input), k_(k) {}
-
-void Squarer::step(double /*t*/, double /*dt*/) {
-  const double v = *in_;
-  out_[0] = k_ * v * v;
-}
 
 void Squarer::step_block(const double* /*t*/, double /*dt*/, int n) {
   const double* in = in_;

@@ -7,9 +7,8 @@
 /// an Amplifier whose gain code is written by the AGC through a quantizing
 /// DAC (uwb/dac in adc.hpp).
 ///
-/// Both blocks are batch-capable: out() returns the base of a kMaxBatch
-/// sample buffer, and step_block() runs the identical per-sample arithmetic
-/// in one tight loop (the gain/clamp path with no bandwidth limit
+/// out() returns the base of a kMaxBatch sample buffer, and step_block()
+/// runs the per-sample arithmetic in one tight loop (the gain/clamp path with no bandwidth limit
 /// auto-vectorizes; the one-pole recurrence stays serial but branch-free).
 #pragma once
 
@@ -29,8 +28,6 @@ class Amplifier : public ams::AnalogBlock {
   void set_gain_db(double gain_db);
   double gain_db() const { return gain_db_; }
 
-  void step(double t, double dt) override;
-  bool supports_batch() const override { return true; }
   void step_block(const double* t, double dt, int n) override;
   const double* out() const { return out_; }
 
@@ -55,8 +52,6 @@ class SummingJunction : public ams::AnalogBlock {
  public:
   explicit SummingJunction(std::vector<const double*> inputs);
 
-  void step(double t, double dt) override;
-  bool supports_batch() const override { return true; }
   void step_block(const double* t, double dt, int n) override;
   const double* out() const { return out_; }
 
@@ -71,8 +66,6 @@ class SummingJunction : public ams::AnalogBlock {
 class Squarer : public ams::AnalogBlock {
  public:
   Squarer(const double* input, double k);
-  void step(double t, double dt) override;
-  bool supports_batch() const override { return true; }
   void step_block(const double* t, double dt, int n) override;
   const double* out() const { return out_; }
 

@@ -17,19 +17,6 @@ void IdealIntegrator::set_mode(Mode mode) {
   if (mode == Mode::kDump) state_.reset();
 }
 
-void IdealIntegrator::step(double /*t*/, double dt) {
-  switch (mode_) {
-    case Mode::kIntegrate:
-      state_.step(*in_, dt);
-      break;
-    case Mode::kDump:
-      state_.reset();
-      break;
-    case Mode::kHold:
-      break;  // value frozen
-  }
-}
-
 void IdealIntegrator::step_block(const double* /*t*/, double dt, int n) {
   switch (mode_) {
     case Mode::kIntegrate:
@@ -39,7 +26,7 @@ void IdealIntegrator::step_block(const double* /*t*/, double dt, int n) {
       state_.reset();  // idempotent: one reset == n per-sample resets
       break;
     case Mode::kHold:
-      break;
+      break;  // value frozen
   }
 }
 
@@ -57,23 +44,6 @@ void TwoPoleIntegrator::set_mode(Mode mode) {
   if (mode == Mode::kDump) state_.reset();
 }
 
-void TwoPoleIntegrator::step(double /*t*/, double dt) {
-  switch (mode_) {
-    case Mode::kIntegrate: {
-      double u = *in_;
-      if (params_.input_clamp > 0.0)
-        u = std::clamp(u, -params_.input_clamp, params_.input_clamp);
-      state_.step(u, dt);
-      break;
-    }
-    case Mode::kDump:
-      state_.reset();  // the paper's "else vo_q==0.0; vo==0.0"
-      break;
-    case Mode::kHold:
-      break;
-  }
-}
-
 void TwoPoleIntegrator::step_block(const double* /*t*/, double dt, int n) {
   switch (mode_) {
     case Mode::kIntegrate: {
@@ -87,7 +57,9 @@ void TwoPoleIntegrator::step_block(const double* /*t*/, double dt, int n) {
       break;
     }
     case Mode::kDump:
-      state_.reset();  // idempotent: one reset == n per-sample resets
+      // The paper's "else vo_q==0.0; vo==0.0"; idempotent, so one reset
+      // equals n per-sample resets.
+      state_.reset();
       break;
     case Mode::kHold:
       break;
@@ -142,29 +114,11 @@ void SpiceIntegrator::set_mode(Mode mode) {
   }
 }
 
-void SpiceIntegrator::step(double t, double dt) {
-  const double u = *in_;
-  vinp_ = input_cm_ + 0.5 * u;
-  vinm_ = input_cm_ - 0.5 * u;
-  if (decim_ <= 1) {
-    bridge_->step(t, dt);
-    return;
-  }
-  // Multirate: hold the drive and solve once per decim_ samples over the
-  // combined span. White-noise inputs keep their per-sample statistics
-  // under sample-and-hold (an averaging prefilter would halve the noise
-  // energy the detector integrates — a ~3 dB bias the stat gate rejects).
-  pend_t_ = t;
-  pend_dt_ = dt;
-  if (++pend_n_ < decim_) return;
-  flush_pending();
-}
-
 void SpiceIntegrator::flush_pending() {
   if (pend_n_ == 0) return;
   const double span = pend_dt_ * pend_n_;
   pend_n_ = 0;
-  bridge_->step(pend_t_, span);
+  bridge_->step_block(&pend_t_, span, 1);
 }
 
 void SpiceIntegrator::step_block(const double* t, double dt, int n) {
@@ -173,9 +127,13 @@ void SpiceIntegrator::step_block(const double* t, double dt, int n) {
     vinp_ = input_cm_ + 0.5 * u;
     vinm_ = input_cm_ - 0.5 * u;
     if (decim_ <= 1) {
-      bridge_->step(t[i], dt);
+      bridge_->step_block(&t[i], dt, 1);
       continue;
     }
+    // Multirate: hold the drive and solve once per decim_ samples over the
+    // combined span. White-noise inputs keep their per-sample statistics
+    // under sample-and-hold (an averaging prefilter would halve the noise
+    // energy the detector integrates — a ~3 dB bias the stat gate rejects).
     pend_t_ = t[i];
     pend_dt_ = dt;
     if (++pend_n_ >= decim_) flush_pending();

@@ -47,7 +47,7 @@ class IntegrateAndDump : public ams::AnalogBlock {
 
 /// Phase II: vo' = K * vin while integrating.
 ///
-/// All three integrators are batch-capable: mode changes arrive from the
+/// For all three integrators, mode changes arrive from the
 /// window controller's digital events, which the kernel only fires at batch
 /// boundaries, so one switch over the mode covers a whole batch and the
 /// integrate-phase recurrence runs as a tight loop over the input buffer.
@@ -58,8 +58,6 @@ class IdealIntegrator final : public IntegrateAndDump {
   Mode mode() const override { return mode_; }
   double output() const override { return state_.value(); }
   std::string kind() const override { return "IDEAL"; }
-  void step(double t, double dt) override;
-  bool supports_batch() const override { return true; }
   void step_block(const double* t, double dt, int n) override;
 
  private:
@@ -84,8 +82,6 @@ class TwoPoleIntegrator final : public IntegrateAndDump {
   double output() const override { return state_.value(); }
   std::string kind() const override { return "VHDL-AMS"; }
   const TwoPoleParams& params() const { return params_; }
-  void step(double t, double dt) override;
-  bool supports_batch() const override { return true; }
   void step_block(const double* t, double dt, int n) override;
 
  private:
@@ -107,12 +103,8 @@ class SpiceIntegrator final : public IntegrateAndDump {
   Mode mode() const override { return mode_; }
   double output() const override { return *out_; }
   std::string kind() const override { return "ELDO"; }
-  void step(double t, double dt) override;
   /// Batching stops at the co-simulation boundary: each batch sample is one
-  /// macro step of the embedded solver, driven with that sample's input —
-  /// the identical per-sample sequence, minus the per-sample virtual
-  /// dispatch through the kernel.
-  bool supports_batch() const override { return true; }
+  /// macro step of the embedded solver, driven with that sample's input.
   void step_block(const double* t, double dt, int n) override;
 
   ams::SpiceBridge& bridge() { return *bridge_; }

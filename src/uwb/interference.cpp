@@ -11,10 +11,6 @@ namespace uwbams::uwb {
 CwTone::CwTone(double amplitude, double freq, double phase)
     : amplitude_(amplitude), omega_(2.0 * units::pi * freq), phase_(phase) {}
 
-void CwTone::step(double t, double /*dt*/) {
-  out_[0] = amplitude_ * std::sin(omega_ * t + phase_);
-}
-
 void CwTone::step_block(const double* t, double /*dt*/, int n) {
   for (int i = 0; i < n; ++i)
     out_[i] = amplitude_ * std::sin(omega_ * t[i] + phase_);
@@ -65,8 +61,6 @@ double PiconetInterferer::sample_at(double t) const {
   }
   return acc;
 }
-
-void PiconetInterferer::step(double t, double /*dt*/) { out_[0] = sample_at(t); }
 
 void PiconetInterferer::step_block(const double* t, double /*dt*/, int n) {
   for (int i = 0; i < n; ++i) out_[i] = sample_at(t[i]);

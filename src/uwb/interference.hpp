@@ -22,8 +22,7 @@
 /// so the two sides of a TWR exchange (distinct node_id) see independent
 /// interference, re-runs are bit-identical at any --jobs, and per-symbol
 /// slot draws are random-access (hash of the symbol index, no sequential
-/// RNG state) — which is what makes the batch path trivially bit-identical
-/// to the scalar path.
+/// RNG state) — so batch cuts trivially cannot perturb the waveform.
 #pragma once
 
 #include <cstdint>
@@ -40,14 +39,12 @@ namespace uwbams::uwb {
 /// Fixed purpose tag of the interference seed domain.
 inline constexpr std::uint64_t kInterferencePurpose = 0x69666e74;  // "ifnt"
 
-/// Narrowband CW blocker: out(t) = A sin(2 pi f t + phase). A pure time
-/// function — scalar and batch paths evaluate the identical expression.
+/// Narrowband CW blocker: out(t) = A sin(2 pi f t + phase), a pure time
+/// function.
 class CwTone : public ams::AnalogBlock {
  public:
   CwTone(double amplitude, double freq, double phase);
 
-  void step(double t, double dt) override;
-  bool supports_batch() const override { return true; }
   void step_block(const double* t, double dt, int n) override;
   const double* out() const { return out_; }
 
@@ -67,8 +64,6 @@ class PiconetInterferer : public ams::AnalogBlock {
  public:
   PiconetInterferer(const SystemConfig& cfg, std::uint64_t seed);
 
-  void step(double t, double dt) override;
-  bool supports_batch() const override { return true; }
   void step_block(const double* t, double dt, int n) override;
   const double* out() const { return out_; }
 

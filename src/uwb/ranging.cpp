@@ -52,13 +52,12 @@ TwrIteration TwoWayRanging::run_iteration(std::uint64_t channel_seed,
   TwrIteration result;
 
   ams::Kernel kernel(sys.dt);
-  // Both nodes' chains are block-wired and batch-capable; the acquisition
-  // FSMs run from digital events, which bound every batch. Registration is
-  // in forward dataflow order (transmitters -> channels -> receivers) as
-  // batching requires; the channels carry a one-sample input delay to
-  // reproduce, bit for bit, the classic channel-before-transmitter
-  // arrangement in which each channel read its input's previous sample.
-  kernel.enable_batching();
+  // The acquisition FSMs run from digital events, which bound every batch.
+  // Registration is in forward dataflow order (transmitters -> channels ->
+  // receivers) as batched stepping requires; the channels carry a
+  // one-sample input delay to reproduce, bit for bit, the classic
+  // channel-before-transmitter arrangement in which each channel read its
+  // input's previous sample.
 
   Transceiver node_a(kernel, sys_a);  // registers the transmitters only
   Transceiver node_b(kernel, sys_b);

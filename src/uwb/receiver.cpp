@@ -6,14 +6,9 @@
 
 namespace uwbams::uwb {
 
-void PeakTracker::step(double, double) {
-  peak_ = std::max(peak_, std::abs(*in_));
-}
-
 void PeakTracker::step_block(const double* /*t*/, double /*dt*/, int n) {
   // reset_peak() arrives from digital events, which only fire at batch
-  // boundaries, so a straight max-fold over the batch matches the
-  // per-sample result exactly.
+  // boundaries, so a straight max-fold over the batch is exact.
   double p = peak_;
   for (int i = 0; i < n; ++i) p = std::max(p, std::abs(in_[i]));
   peak_ = p;

@@ -38,8 +38,6 @@ namespace uwbams::uwb {
 class PeakTracker : public ams::AnalogBlock {
  public:
   explicit PeakTracker(const double* input) : in_(input) {}
-  void step(double, double) override;
-  bool supports_batch() const override { return true; }
   void step_block(const double* t, double dt, int n) override;
   double peak() const { return peak_; }
   void reset_peak() { peak_ = 0.0; }

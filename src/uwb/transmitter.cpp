@@ -72,8 +72,6 @@ double Transmitter::sample_at(double t) const {
   return acc;
 }
 
-void Transmitter::step(double t, double /*dt*/) { out_[0] = sample_at(t); }
-
 void Transmitter::step_block(const double* t, double /*dt*/, int n) {
   for (int i = 0; i < n; ++i) out_[i] = sample_at(t[i]);
 }

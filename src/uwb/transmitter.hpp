@@ -6,9 +6,8 @@
 /// slot 0). The pulse is centered inside its slot at a fixed offset so the
 /// whole waveform fits the receiver's integration window.
 ///
-/// Batch-capable: step_block() evaluates the identical per-sample waveform
-/// expression for each batch sample. Both paths share sample_at(), which
-/// restricts the burst scan to the pulses whose support can overlap the
+/// step_block() evaluates the per-sample waveform expression sample_at()
+/// for each batch sample, which restricts the burst scan to the pulses whose support can overlap the
 /// sample (the exact |t_rel| test is still applied, so the summation — and
 /// therefore the waveform — is bit-identical to the full per-pulse scan).
 ///
@@ -48,8 +47,6 @@ class Transmitter : public ams::AnalogBlock {
   /// This node's oscillator model (built from cfg.clock + cfg.seed).
   const ClockModel& clock() const { return clock_; }
 
-  void step(double t, double dt) override;
-  bool supports_batch() const override { return true; }
   void step_block(const double* t, double dt, int n) override;
   const double* out() const { return out_; }
 

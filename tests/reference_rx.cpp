@@ -1,4 +1,4 @@
-#include "uwb/reference_rx.hpp"
+#include "reference_rx.hpp"
 
 #include <cmath>
 #include <vector>

@@ -1,7 +1,9 @@
 // Tests for the AMS co-simulation kernel, ODE states and the spice bridge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -18,18 +20,34 @@ using namespace uwbams;
 class Recorder : public ams::AnalogBlock {
  public:
   explicit Recorder(const double* in) : in_(in) {}
-  void step(double t, double) override {
-    times.push_back(t);
-    values.push_back(*in_);
+  void step_block(const double* t, double, int n) override {
+    for (int i = 0; i < n; ++i) {
+      times.push_back(t[i]);
+      values.push_back(in_[i]);
+    }
   }
   const double* in_;
   std::vector<double> times, values;
 };
 
+// Accumulates dt per sample into a single scalar (wire it into consumers
+// only under single-sample stepping).
 class Ramp : public ams::AnalogBlock {
  public:
-  void step(double, double dt) override { out += dt; }
+  void step_block(const double*, double dt, int n) override {
+    for (int i = 0; i < n; ++i) out += dt;
+  }
   double out = 0.0;
+};
+
+// Numbers its samples 1, 2, 3, ... into a kMaxBatch-deep output buffer.
+class Counter : public ams::AnalogBlock {
+ public:
+  void step_block(const double*, double, int n) override {
+    for (int i = 0; i < n; ++i) out[i] = static_cast<double>(++count);
+  }
+  std::uint64_t count = 0;
+  double out[ams::kMaxBatch] = {};
 };
 
 TEST(Kernel, FixedStepAdvancesTime) {
@@ -94,6 +112,85 @@ TEST(Kernel, EventsBeforeAnalogStep) {
   k.schedule_callback(5e-9, [&](double) { ramp_at_event = r.out; });
   k.run_until(10e-9);
   EXPECT_NEAR(ramp_at_event, 5e-9, 1e-15);  // 5 steps completed, 6th not yet
+}
+
+// A digital process that logs the kernel time and the analog sample count
+// at every wake, then reschedules itself after an irregular, mostly
+// non-integer number of steps (some events land exactly on a sample time,
+// some between two samples, two share a time).
+struct IrregularProcess : ams::DigitalProcess {
+  explicit IrregularProcess(const Counter& c) : counter(c) {}
+  void wake(ams::Kernel& kernel, double t) override {
+    wake_times.push_back(t);
+    counts_at_wake.push_back(counter.count);
+    static constexpr double kGaps[] = {3.0, 0.4, 6.7, 0.0, 1.0, 12.5, 2.2};
+    kernel.schedule(*this, t + kGaps[wake_times.size() % 7] * kernel.dt());
+  }
+  const Counter& counter;
+  std::vector<double> wake_times;
+  std::vector<std::uint64_t> counts_at_wake;
+};
+
+struct CutRun {
+  std::vector<double> wake_times;
+  std::vector<std::uint64_t> counts_at_wake;
+  std::vector<double> sample_times, sample_values;
+  std::uint64_t steps;
+  double time;
+  // Per run_until() call: the sample count it was asked to reach and the
+  // one it reached.
+  std::vector<std::uint64_t> stop_targets, stop_steps;
+};
+
+// Drives the Counter -> Recorder chain plus the irregular process for
+// n_samples, either one Kernel::step() per sample (strides empty) or
+// through run_until() stops that advance by sample counts cycling through
+// `strides`.
+CutRun run_cut(const std::vector<std::uint64_t>& strides,
+               std::uint64_t n_samples) {
+  ams::Kernel k(1e-9);
+  Counter counter;
+  Recorder rec(counter.out);
+  k.add_analog(counter);
+  k.add_analog(rec);
+  IrregularProcess proc(counter);
+  k.schedule(proc, 2.5e-9);
+  std::vector<std::uint64_t> targets, reached;
+  if (strides.empty()) {
+    for (std::uint64_t i = 0; i < n_samples; ++i) k.step();
+  } else {
+    for (std::uint64_t i = 0, target = 0; target < n_samples; ++i) {
+      target = std::min(target + strides[i % strides.size()], n_samples);
+      k.run_until(static_cast<double>(target) * k.dt());
+      targets.push_back(target);
+      reached.push_back(k.steps());
+    }
+  }
+  return {proc.wake_times, proc.counts_at_wake, rec.times, rec.values,
+          k.steps(),       k.time(),            targets,   reached};
+}
+
+TEST(Kernel, RunUntilMatchesSingleStepsAcrossEventCuts) {
+  // run_until() admits a sample into a batch only if no digital event is
+  // due at it and it lies before t_stop. Stopping at irregular sample
+  // counts moves the batch cuts around the event times: every event must
+  // still see exactly the samples the single-step run shows it, and every
+  // stop must land on its sample.
+  const std::uint64_t n = 700;
+  const CutRun stepped = run_cut({}, n);
+  ASSERT_EQ(stepped.steps, n);
+  ASSERT_GT(stepped.wake_times.size(), 50u);
+  for (const auto& strides : std::vector<std::vector<std::uint64_t>>{
+           {n}, {1}, {7}, {64}, {1, 7, 64}, {64, 3, 1, 7, 19}}) {
+    const CutRun cut = run_cut(strides, n);
+    EXPECT_EQ(cut.stop_steps, cut.stop_targets);
+    EXPECT_EQ(cut.steps, stepped.steps);
+    EXPECT_EQ(cut.time, stepped.time);
+    EXPECT_EQ(cut.wake_times, stepped.wake_times);
+    EXPECT_EQ(cut.counts_at_wake, stepped.counts_at_wake);
+    EXPECT_EQ(cut.sample_times, stepped.sample_times);
+    EXPECT_EQ(cut.sample_values, stepped.sample_values);
+  }
 }
 
 TEST(Ode, IdealIntegratorRampsLinearly) {
@@ -206,9 +303,10 @@ TEST(SpiceBridge, SlewLimitBoundsDriveRate) {
   bridge.bind_input("vin", &drive, 1.0);  // 1 V/ns
   bridge.prime();
   drive = 10.0;
-  bridge.step(0.0, 1e-9);
+  const double t[] = {0.0, 1e-9};
+  bridge.step_block(&t[0], 1e-9, 1);
   EXPECT_NEAR(bridge.v("n"), 1.0, 1e-6);  // limited to 1 V in 1 ns
-  bridge.step(1e-9, 1e-9);
+  bridge.step_block(&t[1], 1e-9, 1);
   EXPECT_NEAR(bridge.v("n"), 2.0, 1e-6);
 }
 

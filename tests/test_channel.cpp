@@ -189,34 +189,33 @@ TEST(Interference, EmptyConfigAliasesTheInputPointer) {
   EXPECT_EQ(set.out(), rf);
 }
 
-TEST(Interference, CwToneScalarAndBatchAgree) {
+TEST(Interference, CwToneSingleSamplesAndBatchAgree) {
   CwTone a(2e-3, 0.31e9, 0.4), b(2e-3, 0.31e9, 0.4);
   const double dt = 0.2e-9;
   double t[8];
   for (int i = 0; i < 8; ++i) t[i] = 1e-9 + i * dt;
   b.step_block(t, dt, 8);
   for (int i = 0; i < 8; ++i) {
-    a.step(t[i], dt);
+    a.step_block(&t[i], dt, 1);
     EXPECT_EQ(a.out()[0], b.out()[i]) << i;
   }
 }
 
-TEST(Interference, SummingJunctionBatchMatchesScalar) {
+TEST(Interference, SummingJunctionBatchMatchesSingleSamples) {
   double in1[ams::kMaxBatch], in2[ams::kMaxBatch];
   base::Rng rng(3);
   for (int i = 0; i < 16; ++i) {
     in1[i] = rng.gaussian();
     in2[i] = rng.gaussian();
   }
-  SummingJunction scalar({in1, in2});
   SummingJunction batch({in1, in2});
   batch.step_block(nullptr, 0.2e-9, 16);
-  // Scalar path reads index 0 only, so walk it sample by sample against
-  // the batch result via shifted copies.
+  // A single-sample step reads index 0 only, so walk it sample by sample
+  // against the batch result via shifted copies.
   for (int i = 0; i < 16; ++i) {
     double a[1] = {in1[i]}, b[1] = {in2[i]};
     SummingJunction one({a, b});
-    one.step(0.0, 0.2e-9);
+    one.step_block(nullptr, 0.2e-9, 1);
     EXPECT_EQ(one.out()[0], batch.out()[i]) << i;
     EXPECT_EQ(one.out()[0], in1[i] + in2[i]) << i;
   }
@@ -231,7 +230,7 @@ TEST(Interference, PiconetDrawsAreHashKeyedNotSequential) {
   sys.interference.uwb_amplitude = 5e-3;
   PiconetInterferer p1(sys, 77), p2(sys, 77);
   const auto sample = [&](PiconetInterferer& p, double t) {
-    p.step(t, sys.dt);
+    p.step_block(&t, sys.dt, 1);
     return p.out()[0];
   };
   const double probe[] = {3.1e-6, 0.4e-6, 1.9e-6, 0.4e-6};

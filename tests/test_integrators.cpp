@@ -25,7 +25,7 @@ CycleResult run_cycle(IntegrateAndDump& itd, double& input, double vin,
   auto run = [&](IntegrateAndDump::Mode m, double dur) {
     itd.set_mode(m);
     for (const double end = t + dur; t < end - dt / 2; t += dt)
-      itd.step(t, dt);
+      itd.step_block(&t, dt, 1);
   };
   input = 0.0;
   run(IntegrateAndDump::Mode::kDump, 30e-9);
@@ -48,7 +48,8 @@ TEST(IdealIntegrator, RampHoldDump) {
   EXPECT_NEAR(r.after_integrate, 6.23e7 * 0.05 * 100e-9, 5e-4);
   EXPECT_NEAR(r.after_hold, r.after_integrate, 1e-12);  // perfect hold
   itd.set_mode(IntegrateAndDump::Mode::kDump);
-  itd.step(0, 1e-9);
+  const double t0 = 0.0;
+  itd.step_block(&t0, 1e-9, 1);
   EXPECT_EQ(itd.output(), 0.0);
   EXPECT_EQ(itd.kind(), "IDEAL");
 }

@@ -1,14 +1,19 @@
-// Batched-vs-scalar equivalence of the AMS kernel and the batched blocks.
+// Single-sample stepping vs event-bounded batching in the AMS kernel.
 //
-// The batched dataflow contract is *bit-identity*: for any batch capacity
-// (1, a prime, a power of two, or the event-aligned maximum) every
-// waveform sample, window sample and BER count must equal the per-sample
-// path exactly — same operation order, same RNG draw order. The same
-// holds for the parallel Eb/N0 sweep at every job count. These tests
-// compare doubles with EXPECT_EQ on purpose.
+// The batched dataflow contract is *bit-identity across batch cuts*: a run
+// driven one sample at a time through Kernel::step() and the same run
+// through run_until() — in one call, or stopped every 1, 7 or 64 samples so
+// the batches are cut at other positions — must produce every waveform
+// sample, window sample, BER count and acquisition result exactly: same
+// operation order, same RNG draw order. The same holds for the parallel
+// Eb/N0 sweep at every job count. These tests compare doubles with
+// EXPECT_EQ on purpose.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "ams/kernel.hpp"
@@ -17,7 +22,6 @@
 #include "uwb/ber.hpp"
 #include "uwb/channel.hpp"
 #include "uwb/pulse.hpp"
-#include "uwb/ranging.hpp"
 #include "uwb/receiver.hpp"
 #include "uwb/transmitter.hpp"
 
@@ -26,38 +30,30 @@ namespace {
 using namespace uwbams;
 using namespace uwbams::uwb;
 
-// Scoped environment override restoring the previous state on destruction
-// (other suites in this binary must not inherit a forced-scalar kernel).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    if (value != nullptr)
-      ::setenv(name, value, 1);
-    else
-      ::unsetenv(name);
-  }
-  ~ScopedEnv() {
-    if (had_)
-      ::setenv(name_, saved_.c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
+// How a test advances its kernel to t_stop: kSteps is one Kernel::step()
+// per sample (the reference), kRunUntil one run_until() call, and a
+// positive stride successive run_until() stops every `stride` samples.
+constexpr int kSteps = -1;
+constexpr int kRunUntil = 0;
+// The batch-cutting drives each compared against the kSteps reference.
+constexpr int kCutDrives[] = {kRunUntil, 1, 7, 64};
 
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
+void drive(ams::Kernel& kernel, double t_stop, int how) {
+  const double dt = kernel.dt();
+  if (how == kSteps) {
+    while (kernel.time() < t_stop - 0.5 * dt) kernel.step();
+  } else if (how == kRunUntil) {
+    kernel.run_until(t_stop);
+  } else {
+    while (kernel.time() < t_stop - 0.5 * dt)
+      kernel.run_until(std::min(t_stop, kernel.time() + how * dt));
+  }
+}
 
-// Batch-capable waveform recorder (sink block, no output of its own).
+// Waveform recorder (sink block, no output of its own).
 class BatchTap : public ams::AnalogBlock {
  public:
   explicit BatchTap(const double* in) : in_(in) {}
-  void step(double, double) override { values.push_back(*in_); }
-  bool supports_batch() const override { return true; }
   void step_block(const double*, double, int n) override {
     for (int i = 0; i < n; ++i) values.push_back(in_[i]);
   }
@@ -76,13 +72,17 @@ SystemConfig batch_sys() {
   return sys;
 }
 
-// Runs tx -> CM1 channel (+AWGN) for `t_stop` with irregularly scheduled
-// no-op events (to force event-bounded batch splits) and records the
-// channel output waveform.
-std::vector<double> run_chain_waveform(int capacity) {
+ChannelRealization chain_cm1() {
+  base::Rng rng(42);
+  return generate_cm1(rng);
+}
+
+// Runs tx -> CM1 channel (+AWGN) for the packet duration with irregularly
+// scheduled no-op events (to force event-bounded batch splits) and records
+// the channel output waveform.
+std::vector<double> run_chain_waveform(int how) {
   SystemConfig sys = batch_sys();
   ams::Kernel kernel(sys.dt);
-  if (capacity > 0) kernel.enable_batching(capacity);
 
   Transmitter tx(sys);
   ChannelBlock chan(sys, nullptr);
@@ -92,8 +92,7 @@ std::vector<double> run_chain_waveform(int capacity) {
   BatchTap tap(chan.out());
   kernel.add_analog(tap);
 
-  base::Rng rng(42);
-  chan.set_realization(generate_cm1(rng), 3e-3);
+  chan.set_realization(chain_cm1(), 3e-3);
   chan.set_noise_psd(2e-18);
   chan.reseed(99);
 
@@ -108,31 +107,44 @@ std::vector<double> run_chain_waveform(int capacity) {
   };
   kernel.schedule_callback(5e-9, tick);
 
-  kernel.run_until(p.duration(sys.symbol_period) + 60e-9);
+  drive(kernel, p.duration(sys.symbol_period) + 60e-9, how);
   return tap.values;
 }
 
-TEST(KernelBatch, WaveformsBitIdenticalAcrossCapacities) {
-  const auto scalar = run_chain_waveform(0);  // batching never enabled
-  ASSERT_GT(scalar.size(), 1000u);
-  for (int capacity : {1, 7, 64, ams::kMaxBatch}) {
-    const auto batched = run_chain_waveform(capacity);
-    ASSERT_EQ(batched.size(), scalar.size()) << "capacity " << capacity;
-    for (std::size_t i = 0; i < scalar.size(); ++i)
-      ASSERT_EQ(batched[i], scalar[i])
-          << "sample " << i << " at capacity " << capacity;
+TEST(KernelBatch, WaveformsBitIdenticalAcrossBatchCuts) {
+  const auto stepped = run_chain_waveform(kSteps);
+  // The channel's delay line is a ring of (longest tap + 2 + kMaxBatch)
+  // samples. Several laps of it make batches cross the ring end, where
+  // each tap's read splits into two spans.
+  const SystemConfig sys = batch_sys();
+  double longest = 0.0;
+  for (const auto& tap : chain_cm1().taps)
+    longest = std::max(longest, tap.delay);
+  const double ring = std::round(
+      (sys.distance / units::speed_of_light + longest) / sys.dt) +
+      2 + ams::kMaxBatch;
+  ASSERT_GT(static_cast<double>(stepped.size()), 3.0 * ring);
+  for (int how : kCutDrives) {
+    const auto batched = run_chain_waveform(how);
+    ASSERT_EQ(batched.size(), stepped.size()) << "drive " << how;
+    for (std::size_t i = 0; i < stepped.size(); ++i)
+      ASSERT_EQ(batched[i], stepped[i]) << "sample " << i << " drive " << how;
   }
 }
 
-// Genie-mode receiver: window samples (time, code and pre-quantization
-// analog value) must match exactly for every capacity and every
-// integrator fidelity.
-std::vector<WindowSample> run_genie_samples(core::IntegratorKind kind,
-                                            int capacity) {
+// Genie-mode receiver over an AWGN link: window samples (time, code and
+// pre-quantization analog value) and the demodulator's BER counts.
+struct GenieRun {
+  std::vector<WindowSample> samples;
+  std::uint64_t bits = 0;
+  std::uint64_t errors = 0;
+};
+
+GenieRun run_genie(core::IntegratorKind kind, int how, double ebn0_db,
+                   int payload_bits) {
   SystemConfig sys = batch_sys();
   sys.seed = 5;
   ams::Kernel kernel(sys.dt);
-  if (capacity > 0) kernel.enable_batching(capacity);
 
   Transmitter tx(sys);
   ChannelBlock chan(sys, nullptr);
@@ -143,7 +155,7 @@ std::vector<WindowSample> run_genie_samples(core::IntegratorKind kind,
   chan.set_awgn_only(rx_peak / sys.pulse_amplitude);
   const GaussianMonocycle pulse(2, sys.pulse_sigma, rx_peak);
   chan.set_noise_psd(pulse.energy() * sys.pulses_per_symbol /
-                     units::db_to_pow(10.0));
+                     units::db_to_pow(ebn0_db));
   chan.reseed(123);
 
   Receiver rx(kernel, sys, chan.out(),
@@ -153,13 +165,13 @@ std::vector<WindowSample> run_genie_samples(core::IntegratorKind kind,
   base::Rng rng(7);
   Packet p;
   p.preamble_symbols = 0;
-  p.payload = rng.bits(kind == core::IntegratorKind::kSpice ? 4 : 24);
+  p.payload = rng.bits(static_cast<std::size_t>(payload_bits));
   const double t_start = 2.0 * sys.slot_period();
   tx.send(p, t_start);
   rx.start_genie(kernel, t_start + sys.distance / units::speed_of_light,
                  p.payload);
-  kernel.run_until(t_start + p.duration(sys.symbol_period) + 1e-6);
-  return rx.samples();
+  drive(kernel, t_start + p.duration(sys.symbol_period) + 1e-6, how);
+  return {rx.samples(), rx.ber().bits(), rx.ber().errors()};
 }
 
 void expect_same_samples(const std::vector<WindowSample>& a,
@@ -174,39 +186,48 @@ void expect_same_samples(const std::vector<WindowSample>& a,
 }
 
 TEST(KernelBatch, WindowSamplesBitIdenticalIdealIntegrator) {
-  const auto scalar = run_genie_samples(core::IntegratorKind::kIdeal, 0);
-  ASSERT_GT(scalar.size(), 10u);
-  for (int capacity : {1, 7, 64, ams::kMaxBatch}) {
-    const auto batched = run_genie_samples(core::IntegratorKind::kIdeal,
-                                           capacity);
-    expect_same_samples(scalar, batched, "ideal");
+  const auto stepped = run_genie(core::IntegratorKind::kIdeal, kSteps, 10.0, 24);
+  ASSERT_GT(stepped.samples.size(), 10u);
+  for (int how : kCutDrives) {
+    const auto batched =
+        run_genie(core::IntegratorKind::kIdeal, how, 10.0, 24);
+    expect_same_samples(stepped.samples, batched.samples, "ideal");
   }
 }
 
 TEST(KernelBatch, WindowSamplesBitIdenticalTwoPoleIntegrator) {
-  const auto scalar = run_genie_samples(core::IntegratorKind::kBehavioral, 0);
+  const auto stepped =
+      run_genie(core::IntegratorKind::kBehavioral, kSteps, 10.0, 24);
   const auto batched =
-      run_genie_samples(core::IntegratorKind::kBehavioral, ams::kMaxBatch);
-  expect_same_samples(scalar, batched, "two-pole");
+      run_genie(core::IntegratorKind::kBehavioral, kRunUntil, 10.0, 24);
+  expect_same_samples(stepped.samples, batched.samples, "two-pole");
 }
 
 TEST(KernelBatch, WindowSamplesBitIdenticalSpiceIntegrator) {
   // The co-simulated netlist is the expensive fidelity: a short payload
   // still crosses several full window cycles (dump/integrate/hold/ADC).
-  const auto scalar = run_genie_samples(core::IntegratorKind::kSpice, 0);
-  ASSERT_GT(scalar.size(), 4u);
+  const auto stepped = run_genie(core::IntegratorKind::kSpice, kSteps, 10.0, 4);
+  ASSERT_GT(stepped.samples.size(), 4u);
   const auto batched =
-      run_genie_samples(core::IntegratorKind::kSpice, ams::kMaxBatch);
-  expect_same_samples(scalar, batched, "spice");
+      run_genie(core::IntegratorKind::kSpice, kRunUntil, 10.0, 4);
+  expect_same_samples(stepped.samples, batched.samples, "spice");
+}
+
+TEST(KernelBatch, BerCountsBitIdenticalSteppedVsBatched) {
+  // Low Eb/N0 so the count includes errors, not only decided bits.
+  const auto stepped = run_genie(core::IntegratorKind::kIdeal, kSteps, 4.0, 300);
+  ASSERT_EQ(stepped.bits, 300u);
+  ASSERT_GT(stepped.errors, 0u);
+  for (int how : kCutDrives) {
+    const auto batched = run_genie(core::IntegratorKind::kIdeal, how, 4.0, 300);
+    EXPECT_EQ(batched.bits, stepped.bits) << "drive " << how;
+    EXPECT_EQ(batched.errors, stepped.errors) << "drive " << how;
+  }
 }
 
 TEST(KernelBatch, BatchHistogramAccountsForEverySample) {
-  if (const char* env = std::getenv("UWBAMS_FORCE_SCALAR");
-      env != nullptr && env[0] == '1')
-    GTEST_SKIP() << "forced-scalar run: batching disabled by design";
   SystemConfig sys = batch_sys();
   ams::Kernel kernel(sys.dt);
-  kernel.enable_batching(64);
 
   Transmitter tx(sys);
   ChannelBlock chan(sys, nullptr);
@@ -227,48 +248,18 @@ TEST(KernelBatch, BatchHistogramAccountsForEverySample) {
                  p.payload);
   kernel.run_until(p.duration(sys.symbol_period) + 1e-6);
 
-  ASSERT_TRUE(kernel.batching_active());
   const auto& hist = kernel.batch_histogram();
   ASSERT_EQ(hist.size(), static_cast<std::size_t>(ams::kMaxBatch) + 1);
-  std::uint64_t total = 0, batches = 0, above_capacity = 0;
+  EXPECT_EQ(hist[0], 0u);
+  std::uint64_t total = 0, batches = 0;
   for (std::size_t n = 0; n < hist.size(); ++n) {
     total += n * hist[n];
     batches += hist[n];
-    if (n > 64) above_capacity += hist[n];
   }
   EXPECT_EQ(total, kernel.steps());
-  EXPECT_EQ(above_capacity, 0u);
-  // Event-bounded: the controller's window phases force sub-capacity
-  // batches, so there must be more batches than steps/capacity alone.
-  EXPECT_GT(batches, kernel.steps() / 64);
-}
-
-TEST(KernelBatch, BerCountsBitIdenticalForcedScalarVsBatched) {
-  BerConfig cfg;
-  cfg.sys = batch_sys();
-  cfg.ebn0_db = {8.0};
-  cfg.max_bits = 600;
-  cfg.min_errors = 1000;  // fixed workload
-  const auto factory =
-      core::make_integrator_factory(core::IntegratorKind::kIdeal, cfg.sys);
-
-  std::vector<BerPoint> scalar, batched, small_batch;
-  {
-    ScopedEnv force("UWBAMS_FORCE_SCALAR", "1");
-    scalar = run_ber_sweep(cfg, factory);
-  }
-  batched = run_ber_sweep(cfg, factory);
-  {
-    ScopedEnv cap("UWBAMS_BATCH_CAP", "7");
-    small_batch = run_ber_sweep(cfg, factory);
-  }
-  ASSERT_EQ(scalar.size(), 1u);
-  EXPECT_EQ(scalar[0].bits, batched[0].bits);
-  EXPECT_EQ(scalar[0].errors, batched[0].errors);
-  EXPECT_EQ(scalar[0].ber, batched[0].ber);
-  EXPECT_EQ(scalar[0].bits, small_batch[0].bits);
-  EXPECT_EQ(scalar[0].errors, small_batch[0].errors);
-  EXPECT_EQ(scalar[0].ber, small_batch[0].ber);
+  // Event-bounded: the controller's window phases force sub-kMaxBatch
+  // batches, so there must be more batches than steps/kMaxBatch alone.
+  EXPECT_GT(batches, kernel.steps() / ams::kMaxBatch);
 }
 
 TEST(KernelBatch, ParallelSweepMatchesSerialAtEveryJobCount) {
@@ -297,36 +288,67 @@ TEST(KernelBatch, ParallelSweepMatchesSerialAtEveryJobCount) {
   }
 }
 
-TEST(KernelBatch, AcquireModeRangingBitIdentical) {
-  // Full acquisition (NE -> PS -> AGC -> coarse -> fine) through the
-  // batched kernel: the TWR distance estimate must match the per-sample
-  // path bit for bit.
-  TwrConfig cfg;
-  cfg.sys.dt = 0.2e-9;
-  cfg.sys.distance = 3.0;
-  cfg.sys.multipath = false;
-  cfg.sys.preamble_symbols = 80;
-  cfg.sys.noise_est_windows = 16;
-  cfg.sys.seed = 9;
-  cfg.iterations = 1;
-  cfg.noise_psd = 1e-19;
-  const auto factory =
-      core::make_integrator_factory(core::IntegratorKind::kIdeal, cfg.sys);
+// Full acquisition (NE -> PS -> AGC -> coarse -> fine ToA), then SFD and
+// payload decoding, on the clean AWGN link of the receiver-link tests.
+struct AcquireRun {
+  bool synced = false;
+  double toa = -1.0;
+  std::vector<bool> payload;
+  std::vector<WindowSample> samples;
+};
 
-  TwrResult scalar, batched;
-  {
-    ScopedEnv force("UWBAMS_FORCE_SCALAR", "1");
-    scalar = TwoWayRanging(cfg, factory).run();
+AcquireRun run_acquire(int how) {
+  SystemConfig sys = batch_sys();
+  sys.preamble_symbols = 80;
+  sys.noise_est_windows = 16;
+
+  ams::Kernel kernel(sys.dt);
+  Transmitter tx(sys);
+  ChannelBlock chan(sys, nullptr);
+  kernel.add_analog(tx);
+  kernel.add_analog(chan);
+  chan.set_input(tx.out());
+  const double rx_peak = 2e-3;
+  chan.set_awgn_only(rx_peak / sys.pulse_amplitude);
+  const GaussianMonocycle pulse(2, sys.pulse_sigma, rx_peak);
+  chan.set_noise_psd(pulse.energy() * sys.pulses_per_symbol /
+                     units::db_to_pow(20.0));
+
+  Receiver rx(kernel, sys, chan.out(),
+              core::make_integrator_factory(core::IntegratorKind::kIdeal, sys));
+  rx.keep_samples(true);
+  AcquireRun run;
+  rx.on_sync([&](double t) { run.toa = t; });
+  base::Rng rng(77);
+  Packet p;
+  p.preamble_symbols = sys.preamble_symbols;
+  p.sfd_symbols = 1;
+  p.payload = rng.bits(16);
+  rx.collect_payload(static_cast<int>(p.payload.size()));
+  rx.start_acquire(kernel, 50e-9);
+
+  // Leave room for noise-floor gain backoff passes before the packet.
+  const double t_start = 2.2e-6;
+  tx.send(p, t_start);
+  drive(kernel, t_start + p.duration(sys.symbol_period) + 2e-6, how);
+  run.synced = rx.sync_done();
+  run.payload = rx.received_payload();
+  run.samples = rx.samples();
+  return run;
+}
+
+TEST(KernelBatch, AcquireModeBitIdenticalSteppedVsBatched) {
+  const AcquireRun stepped = run_acquire(kSteps);
+  ASSERT_TRUE(stepped.synced);
+  ASSERT_GT(stepped.toa, 0.0);
+  ASSERT_EQ(stepped.payload.size(), 16u);
+  for (int how : kCutDrives) {
+    const AcquireRun batched = run_acquire(how);
+    EXPECT_EQ(batched.synced, stepped.synced) << "drive " << how;
+    EXPECT_EQ(batched.toa, stepped.toa) << "drive " << how;
+    EXPECT_EQ(batched.payload, stepped.payload) << "drive " << how;
+    expect_same_samples(stepped.samples, batched.samples, "acquire");
   }
-  batched = TwoWayRanging(cfg, factory).run();
-  ASSERT_EQ(scalar.iterations.size(), 1u);
-  ASSERT_EQ(batched.iterations.size(), 1u);
-  ASSERT_TRUE(scalar.iterations[0].ok);
-  ASSERT_TRUE(batched.iterations[0].ok);
-  EXPECT_EQ(scalar.iterations[0].distance_estimate,
-            batched.iterations[0].distance_estimate);
-  EXPECT_EQ(scalar.iterations[0].toa_bias_a, batched.iterations[0].toa_bias_a);
-  EXPECT_EQ(scalar.iterations[0].toa_bias_b, batched.iterations[0].toa_bias_b);
 }
 
 }  // namespace

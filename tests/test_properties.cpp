@@ -270,11 +270,13 @@ TEST(Channel, EnergyConservationThroughBlock) {
 
   // Drive a single unit impulse; collect output energy.
   input = 1.0;
-  chan.step(0.0, sys.dt);
+  const double t0 = 0.0;
+  chan.step_block(&t0, sys.dt, 1);
   input = 0.0;
   double e_out = *chan.out() * *chan.out();
   for (int i = 1; i < 4000; ++i) {
-    chan.step(i * sys.dt, sys.dt);
+    const double t = i * sys.dt;
+    chan.step_block(&t, sys.dt, 1);
     e_out += *chan.out() * *chan.out();
   }
   // Impulse energy in = 1 (unit sample); channel scales by 0.25^2 and taps

@@ -123,8 +123,10 @@ TEST(Acquisition, SyncsOnCleanAwgnChannel) {
 TEST(Controller, WindowCadenceAndRetiming) {
   SystemConfig sys = fast_sys();
   ams::Kernel kernel(sys.dt);
-  double input = 0.0;
-  IdealIntegrator itd(&input, sys.integrator_k);
+  // A silent producer buffer: the batched integrator reads one input
+  // element per batch sample.
+  const double input[ams::kMaxBatch] = {};
+  IdealIntegrator itd(input, sys.integrator_k);
   kernel.add_analog(itd);
   Adc adc(sys.adc_bits, sys.adc_vmin, sys.adc_vmax);
   std::vector<WindowSample> samples;
@@ -152,8 +154,10 @@ TEST(Controller, WindowCadenceAndRetiming) {
 TEST(Controller, RestartInvalidatesOldCycle) {
   SystemConfig sys = fast_sys();
   ams::Kernel kernel(sys.dt);
-  double input = 0.0;
-  IdealIntegrator itd(&input, sys.integrator_k);
+  // A silent producer buffer: the batched integrator reads one input
+  // element per batch sample.
+  const double input[ams::kMaxBatch] = {};
+  IdealIntegrator itd(input, sys.integrator_k);
   kernel.add_analog(itd);
   Adc adc(sys.adc_bits, sys.adc_vmin, sys.adc_vmax);
   std::vector<WindowSample> samples;

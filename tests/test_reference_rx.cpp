@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "core/block_variant.hpp"
+#include "reference_rx.hpp"
 #include "uwb/ber.hpp"
-#include "uwb/reference_rx.hpp"
 
 namespace {
 

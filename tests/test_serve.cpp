@@ -25,6 +25,7 @@
 #include <fstream>
 #include <iterator>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -213,6 +214,35 @@ TEST(ResultCache, DiskCapInitializesFromTheEnvironment) {
   serve::ResultCache uncapped(dir, 4);
   EXPECT_EQ(uncapped.disk_max_bytes(), 0u);  // default: unbounded
   fs::remove_all(dir);
+}
+
+// A malformed UWBAMS_CACHE_MAX_MB must fail loudly, naming the variable,
+// rather than silently misconfigure (or overflow) the disk cap.
+void expect_cap_rejected(const char* value) {
+  const std::string dir = temp_dir("cache_env_bad");
+  ::setenv("UWBAMS_CACHE_MAX_MB", value, 1);
+  std::string what;
+  try {
+    serve::ResultCache cache(dir, 4);
+  } catch (const std::invalid_argument& e) {
+    what = e.what();
+  }
+  ::unsetenv("UWBAMS_CACHE_MAX_MB");
+  fs::remove_all(dir);
+  EXPECT_NE(what.find("UWBAMS_CACHE_MAX_MB"), std::string::npos)
+      << "value '" << value << "' was not rejected";
+}
+
+TEST(ResultCache, DiskCapRejectsTrailingGarbage) { expect_cap_rejected("1x"); }
+
+TEST(ResultCache, DiskCapRejectsNan) { expect_cap_rejected("nan"); }
+
+TEST(ResultCache, DiskCapRejectsNegative) { expect_cap_rejected("-1"); }
+
+TEST(ResultCache, DiskCapRejectsInfinity) { expect_cap_rejected("inf"); }
+
+TEST(ResultCache, DiskCapRejectsByteCountOverflow) {
+  expect_cap_rejected("1e300");
 }
 
 // -------------------------------------------------------- protocol parsing

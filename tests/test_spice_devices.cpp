@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "base/units.hpp"
 #include "spice/circuit.hpp"
@@ -244,6 +245,33 @@ TEST(Mosfet, InverterTransfersRailToRail) {
   r = solve_op(c);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(c.voltage_in(r.x, out), 0.05);  // input high -> output low
+}
+
+TEST(Mosfet, OutputCharacteristicMonotoneAndFlatInSaturation) {
+  // NMOS output characteristic at fixed vgs, traced as a chain of warm-
+  // started operating points: the drain current (sensed across a 1 ohm
+  // source resistor) must rise monotonically with vds and flatten in
+  // saturation.
+  Circuit c;
+  const NodeId d = c.node("d"), g = c.node("g"), s = c.node("s");
+  c.add<VoltageSource>("Vg", g, c.ground(), Waveform::dc(1.0));
+  auto& vd = c.add<VoltageSource>("Vd", d, c.ground(), Waveform::dc(0.0));
+  c.add<Resistor>("Rs", s, c.ground(), 1.0);
+  c.add<Mosfet>("M1", d, g, s, c.ground(), builtin_model("nmos"), 2e-6,
+                0.18e-6);
+  const int steps = 14;
+  OpOptions opts;
+  std::vector<double> id;
+  for (int i = 0; i <= steps; ++i) {
+    vd.set_override(0.05 + (1.8 - 0.05) * i / steps);
+    const auto r = solve_op(c, opts);
+    ASSERT_TRUE(r.converged) << "vds point " << i;
+    id.push_back(c.voltage_in(r.x, s));
+    opts.initial_guess = r.x;
+  }
+  for (std::size_t i = 1; i < id.size(); ++i)
+    EXPECT_GE(id[i], id[i - 1] - 1e-9) << "vds point " << i;
+  EXPECT_NEAR(id.back(), id[id.size() - 2], 0.05 * id.back());
 }
 
 // Parameterized region sweep: for a grid of (vgs, vds) the reported region

@@ -22,6 +22,12 @@ namespace {
 using namespace uwbams;
 using namespace uwbams::uwb;
 
+// Advances a block by one sample at time t, as Kernel::step() does; its
+// plain-double input is then read at element 0 only.
+void step_one(ams::AnalogBlock& block, double t, double dt) {
+  block.step_block(&t, dt, 1);
+}
+
 TEST(Pulse, PeakEqualsAmplitude) {
   const GaussianMonocycle p(2, 0.7e-9, 0.5);
   EXPECT_NEAR(p.value(0.0), 0.5, 1e-12);
@@ -70,7 +76,7 @@ TEST(Transmitter, PlacesBurstInCorrectSlot) {
 
   double e_sym0_slot0 = 0, e_sym0_slot1 = 0, e_sym1_slot0 = 0, e_sym1_slot1 = 0;
   for (double t = 0; t < 2 * sys.symbol_period; t += sys.dt) {
-    tx.step(t, sys.dt);
+    step_one(tx, t, sys.dt);
     const double e = (*tx.out()) * (*tx.out()) * sys.dt;
     const int sym = static_cast<int>(t / sys.symbol_period);
     const bool slot1 = std::fmod(t, sys.symbol_period) >= sys.slot_period();
@@ -150,9 +156,9 @@ TEST(Channel, RebuildMidRunDiscardsHistoryAndCountsIt) {
 
   // Put an impulse in flight, then rebuild mid-propagation.
   input = 1.0;
-  chan.step(0.0, sys.dt);
+  step_one(chan, 0.0, sys.dt);
   input = 0.0;
-  chan.step(sys.dt, sys.dt);
+  step_one(chan, sys.dt, sys.dt);
   chan.set_distance(6.0);  // mid-run: the in-flight impulse is dropped
   EXPECT_EQ(chan.history_discards(), 1u);
 
@@ -160,19 +166,19 @@ TEST(Channel, RebuildMidRunDiscardsHistoryAndCountsIt) {
   const int prop_samples = static_cast<int>(
       std::round(6.0 / units::speed_of_light / sys.dt)) + 4;
   for (int i = 0; i < prop_samples; ++i) {
-    chan.step(i * sys.dt, sys.dt);
+    step_one(chan, i * sys.dt, sys.dt);
     ASSERT_EQ(*chan.out(), 0.0) << "stale history leaked at sample " << i;
   }
 
   // A fresh impulse propagates with the new distance exactly.
   input = 1.0;
-  chan.step(0.0, sys.dt);
+  step_one(chan, 0.0, sys.dt);
   input = 0.0;
   const int d = static_cast<int>(
       std::round(6.0 / units::speed_of_light / sys.dt));
   double out_at_delay = -1.0;
   for (int i = 1; i <= d + 2; ++i) {
-    chan.step(i * sys.dt, sys.dt);
+    step_one(chan, i * sys.dt, sys.dt);
     if (i == d) out_at_delay = *chan.out();
   }
   EXPECT_NEAR(out_at_delay, 0.5, 1e-12);
@@ -192,13 +198,13 @@ TEST(Channel, BlockDelaysAndScales) {
   chan.set_noise_psd(0.0);
   // Impulse at the first step.
   input = 1.0;
-  chan.step(0.0, sys.dt);
+  step_one(chan, 0.0, sys.dt);
   input = 0.0;
   const int prop_samples = static_cast<int>(
       std::round(sys.distance / units::speed_of_light / sys.dt));
   double out_at_delay = 0.0;
   for (int i = 1; i <= prop_samples + 2; ++i) {
-    chan.step(i * sys.dt, sys.dt);
+    step_one(chan, i * sys.dt, sys.dt);
     if (i == prop_samples) out_at_delay = *chan.out();
   }
   EXPECT_NEAR(out_at_delay, 0.5, 1e-12);
@@ -214,7 +220,7 @@ TEST(Channel, NoiseVarianceMatchesPsd) {
   chan.set_noise_psd(n0);
   base::RunningStats st;
   for (int i = 0; i < 200000; ++i) {
-    chan.step(i * sys.dt, sys.dt);
+    step_one(chan, i * sys.dt, sys.dt);
     st.add(*chan.out());
   }
   EXPECT_NEAR(st.variance(), 0.5 * n0 * sys.sample_rate(),
@@ -224,17 +230,17 @@ TEST(Channel, NoiseVarianceMatchesPsd) {
 TEST(Amplifier, GainAndSaturation) {
   double in = 0.01;
   Amplifier amp(&in, 20.0, 0.5);  // 10x, clamp 0.5
-  amp.step(0, 1e-9);
+  step_one(amp, 0, 1e-9);
   EXPECT_NEAR(*amp.out(), 0.1, 1e-12);
   in = 0.2;
-  amp.step(0, 1e-9);
+  step_one(amp, 0, 1e-9);
   EXPECT_NEAR(*amp.out(), 0.5, 1e-12);  // clamped
   in = -0.2;
-  amp.step(0, 1e-9);
+  step_one(amp, 0, 1e-9);
   EXPECT_NEAR(*amp.out(), -0.5, 1e-12);
   amp.set_gain_db(0.0);
   in = 0.3;
-  amp.step(0, 1e-9);
+  step_one(amp, 0, 1e-9);
   EXPECT_NEAR(*amp.out(), 0.3, 1e-12);
 }
 
@@ -245,7 +251,7 @@ TEST(Amplifier, BandwidthLimitsStepResponse) {
   const double dt = 0.1e-9;
   double t = 0.0;
   for (int i = 0; i < 16; ++i) {
-    amp.step(t, dt);
+    step_one(amp, t, dt);
     t += dt;
   }
   const double tau = 1.0 / (2 * units::pi * 100e6);
@@ -255,7 +261,7 @@ TEST(Amplifier, BandwidthLimitsStepResponse) {
 TEST(Squarer, SquaresInput) {
   double in = -0.3;
   Squarer sq(&in, 2.0);
-  sq.step(0, 1e-9);
+  step_one(sq, 0, 1e-9);
   EXPECT_NEAR(*sq.out(), 2.0 * 0.09, 1e-12);
   EXPECT_GE(*sq.out(), 0.0);
 }
