@@ -23,7 +23,8 @@ void Mt19937_64::refill() {
   const auto twist = [](std::uint64_t cur, std::uint64_t succ,
                         std::uint64_t far) {
     const std::uint64_t y = (cur & kUpper) | (succ & ~kUpper);
-    return far ^ (y >> 1) ^ ((y & 1) ? 0xb5026f5aa96619e9ull : 0);
+    // Branch-free: the low bit of y is a coin flip no predictor learns.
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & 0xb5026f5aa96619e9ull);
   };
   if (ready_ == kN) {
     // The standard in-place twist of the whole block.

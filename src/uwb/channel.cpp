@@ -253,10 +253,7 @@ void ChannelBlock::rebuild_taps() {
   // samples awaiting overwrite are not in flight.
   if (!delay_line_.empty() && !sampled_.empty()) {
     const std::size_t len = delay_line_.size();
-    std::size_t live = 0;
-    for (const auto& tap : sampled_)
-      live = std::max(live, static_cast<std::size_t>(tap.delay_samples));
-    for (std::size_t k = 1; k <= live; ++k) {
+    for (std::size_t k = 1; k <= static_cast<std::size_t>(max_delay_); ++k) {
       if (delay_line_[(write_pos_ + len - k) % len] != 0.0) {
         ++history_discards_;
         break;
@@ -265,20 +262,28 @@ void ChannelBlock::rebuild_taps() {
   }
   const double prop_delay = distance_ / units::speed_of_light;
   sampled_.clear();
-  int max_delay = 1;
+  max_delay_ = 0;
   for (const auto& t : taps_) {
     const int d =
         static_cast<int>(std::round((prop_delay + t.delay) / cfg_.dt)) +
         input_delay_;
-    sampled_.push_back({d, t.gain * scale_});
-    max_delay = std::max(max_delay, d);
+    const double g = t.gain * scale_;
+    // Taps read backwards and with finite gains, or a silent line would
+    // not sum to exactly +0.0 (see step_block).
+    if (d < 0 || !std::isfinite(g))
+      throw std::invalid_argument(
+          "ChannelBlock: tap needs a delay >= 0 and a finite gain");
+    sampled_.push_back({d, g});
+    max_delay_ = std::max(max_delay_, d);
   }
   // kMaxBatch slots of headroom beyond the longest tap: step_block() writes
   // the whole batch before any tap reads, and the headroom guarantees those
   // writes never land on a slot an in-flight tap still needs.
   delay_line_.assign(
-      static_cast<std::size_t>(max_delay + 2) + ams::kMaxBatch, 0.0);
+      static_cast<std::size_t>(std::max(max_delay_, 1) + 2) + ams::kMaxBatch,
+      0.0);
   write_pos_ = 0;
+  silent_ = delay_line_.size();
 }
 
 void ChannelBlock::step_block(const double* /*t*/, double /*dt*/, int n) {
@@ -286,30 +291,41 @@ void ChannelBlock::step_block(const double* /*t*/, double /*dt*/, int n) {
   // Phase 1: write the whole batch into the ring. Tap reads only ever look
   // backwards (delay >= 0), and the kMaxBatch headroom keeps these writes
   // clear of every slot a tap can still read, so pre-writing is equivalent
-  // to the per-sample interleaving.
+  // to the per-sample interleaving. -0.0 and a null input count as silence.
   {
     std::size_t w = write_pos_;
+    int last_loud = -1;
     for (int i = 0; i < n; ++i) {
-      delay_line_[w] = (in_ != nullptr) ? in_[i] : 0.0;
+      const double x = (in_ != nullptr) ? in_[i] : 0.0;
+      delay_line_[w] = x;
+      last_loud = (x != 0.0) ? i : last_loud;
       if (++w == len) w = 0;
     }
+    silent_ = last_loud < 0
+                  ? std::min(silent_ + static_cast<std::size_t>(n), len)
+                  : static_cast<std::size_t>(n - 1 - last_loud);
   }
   // Phase 2: accumulate taps. Looping taps outer / samples inner adds each
   // sample's contributions in tap order whatever the batch size, so the
   // floating-point sums do not depend on batch cuts. Each tap reads the ring as at
   // most two contiguous spans (up to the end of the line, then from its
-  // start), so the inner loops carry no wrap branch.
+  // start), so the inner loops carry no wrap branch. The batch's taps read
+  // the newest max_delay_ + n slots; when all of those are silent, every
+  // sum is exactly +0.0 and the pass is skipped.
   for (int i = 0; i < n; ++i) out_[i] = 0.0;
-  const double* line = delay_line_.data();
-  for (const auto& tap : sampled_) {
-    const std::size_t idx =
-        (write_pos_ + len - static_cast<std::size_t>(tap.delay_samples)) % len;
-    const double g = tap.gain;
-    const int head = static_cast<int>(
-        std::min(static_cast<std::size_t>(n), len - idx));
-    const double* span = line + idx;
-    for (int i = 0; i < head; ++i) out_[i] += g * span[i];
-    for (int i = head; i < n; ++i) out_[i] += g * line[i - head];
+  if (silent_ < static_cast<std::size_t>(max_delay_ + n)) {
+    const double* line = delay_line_.data();
+    for (const auto& tap : sampled_) {
+      const std::size_t idx =
+          (write_pos_ + len - static_cast<std::size_t>(tap.delay_samples)) %
+          len;
+      const double g = tap.gain;
+      const int head = static_cast<int>(
+          std::min(static_cast<std::size_t>(n), len - idx));
+      const double* span = line + idx;
+      for (int i = 0; i < head; ++i) out_[i] += g * span[i];
+      for (int i = head; i < n; ++i) out_[i] += g * line[i - head];
+    }
   }
   // Phase 3: the AWGN draws, one per sample in sample order, so the RNG
   // sequence does not depend on batch cuts.

@@ -112,7 +112,9 @@ double path_loss_db(double distance_m, double pl0_db, double exponent);
 /// pending history is overwritten), then accumulates tap contributions per
 /// sample in tap order and draws the per-sample Gaussian noise in sample
 /// order — the same operation and RNG sequence at any batch cut, with the
-/// ring-index modulo hoisted out of the inner loops.
+/// ring-index modulo hoisted out of the inner loops. A batch whose taps all
+/// read silent slots skips the tap sums, which are exactly +0.0 there
+/// (docs/channels.md, "Silent delay line").
 class ChannelBlock : public ams::AnalogBlock {
  public:
   /// `input` is the transmitter output signal; it may be null at
@@ -167,8 +169,12 @@ class ChannelBlock : public ams::AnalogBlock {
   std::vector<ChannelTap> taps_;   ///< continuous-time description
   double scale_ = 1.0;
   std::vector<SampledTap> sampled_;
+  int max_delay_ = 0;               ///< longest tap delay [samples]
   std::vector<double> delay_line_;  ///< ring buffer (+ kMaxBatch headroom)
   std::size_t write_pos_ = 0;
+  /// Newest ring slots known to hold zero (the trailing run of zero
+  /// writes; the whole line after a rebuild, which zeroes it).
+  std::size_t silent_ = 0;
   std::uint64_t history_discards_ = 0;
   base::Rng rng_;
   double out_[ams::kMaxBatch] = {};

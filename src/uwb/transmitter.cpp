@@ -22,10 +22,14 @@ void Transmitter::send(const Packet& packet, double t_start) {
   start_jitter_ = clock_.jitter_at(t_start);
 }
 
+double Transmitter::packet_time(double t) const {
+  return clock_.local_time(t) - t_start_ - start_jitter_;
+}
+
 bool Transmitter::busy(double t) const {
-  return packet_.has_value() &&
-         clock_.local_time(t) <
-             t_start_ + packet_->duration(cfg_.symbol_period);
+  if (!packet_.has_value()) return false;
+  const double rel = packet_time(t);
+  return rel >= 0.0 && rel < packet_->duration(cfg_.symbol_period);
 }
 
 double Transmitter::first_pulse_time() const {
@@ -39,7 +43,7 @@ double Transmitter::sample_at(double t) const {
   // The waveform runs on the node's local timebase: identity clocks keep
   // rel == t - t_start_ bit for bit; a ppm-offset clock stretches the pulse
   // cadence, and the start-edge jitter shifts the whole packet.
-  const double rel = clock_.local_time(t) - t_start_ - start_jitter_;
+  const double rel = packet_time(t);
   if (rel < 0.0) return 0.0;
   const int sym = static_cast<int>(rel / cfg_.symbol_period);
   if (sym >= packet_->total_symbols()) return 0.0;

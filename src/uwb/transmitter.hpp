@@ -38,6 +38,9 @@ class Transmitter : public ams::AnalogBlock {
 
   /// Queues a packet whose first symbol starts at absolute time t_start.
   void send(const Packet& packet, double t_start);
+  /// Whether kernel time t lies in the queued packet, [start, start +
+  /// duration), on the local clock with the start-edge jitter applied, as
+  /// the waveform is.
   bool busy(double t) const;
   /// Time of the first pulse center of the queued packet (for ranging
   /// bookkeeping). Only valid after send().
@@ -51,8 +54,10 @@ class Transmitter : public ams::AnalogBlock {
   const double* out() const { return out_; }
 
  private:
-  /// The antenna voltage at absolute time t (the body both step paths run).
+  /// The antenna voltage at absolute time t.
   double sample_at(double t) const;
+  /// Packet-relative local time of kernel time t (start jitter applied).
+  double packet_time(double t) const;
 
   SystemConfig cfg_;
   ClockModel clock_;

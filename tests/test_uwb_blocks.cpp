@@ -2,7 +2,10 @@
 // front end, ADC/DAC, demodulator, NE/PS, AGC.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "base/random.hpp"
 #include "base/stats.hpp"
@@ -103,6 +106,124 @@ TEST(Transmitter, FirstPulseTimeAndBusy) {
   EXPECT_NEAR(tx.first_pulse_time(), 1e-6 + tx.pulse_offset_in_slot(), 1e-15);
   EXPECT_TRUE(tx.busy(1.1e-6));
   EXPECT_FALSE(tx.busy(2e-6));
+
+  // A jittered, offset clock: busy() is the packet on the local clock with
+  // the start-edge jitter applied, as the waveform is, and every nonzero
+  // sample lies in it.
+  sys.clock.ppm = 40.0;
+  sys.clock.jitter_rms = 2e-9;
+  sys.clock.node_id = 3;
+  sys.dt = 0.1e-9;
+  Transmitter jtx(sys);
+  jtx.send(p, 1e-6);
+  const double jitter = jtx.clock().jitter_at(1e-6);
+  ASSERT_GT(std::abs(jitter), 0.5e-9);  // large enough to matter
+  const auto at_local = [&](double rel) {
+    return jtx.clock().true_time(1e-6 + jitter + rel);
+  };
+  const double end = p.duration(sys.symbol_period);
+  EXPECT_FALSE(jtx.busy(at_local(-0.2e-9)));
+  EXPECT_TRUE(jtx.busy(at_local(0.2e-9)));
+  EXPECT_TRUE(jtx.busy(at_local(end - 0.2e-9)));
+  EXPECT_FALSE(jtx.busy(at_local(end + 0.2e-9)));
+  for (double t = 0.9e-6; t < 1.4e-6; t += sys.dt) {
+    step_one(jtx, t, sys.dt);
+    if (*jtx.out() != 0.0) {
+      ASSERT_TRUE(jtx.busy(t)) << "on air outside busy() at t=" << t;
+    }
+  }
+}
+
+// The per-sample waveform with no pulse range: every pulse
+// of the sample's symbol tested against its |t_rel| <= half support.
+double full_burst_scan(const SystemConfig& sys, const Transmitter& tx,
+                       const Packet& p, double t_start, double t) {
+  const GaussianMonocycle pulse(2, sys.pulse_sigma, sys.pulse_amplitude);
+  const double rel = tx.clock().local_time(t) - t_start -
+                     tx.clock().jitter_at(t_start);
+  if (rel < 0.0) return 0.0;
+  const int sym = static_cast<int>(rel / sys.symbol_period);
+  if (sym >= p.total_symbols()) return 0.0;
+  const double first_center = sym * sys.symbol_period +
+                              p.slot_of_symbol(sym) * sys.slot_period() +
+                              tx.pulse_offset_in_slot();
+  double acc = 0.0;
+  for (int j = 0; j < sys.pulses_per_symbol; ++j) {
+    const double t_rel = rel - (first_center + j * sys.pulse_spacing);
+    if (std::abs(t_rel) <= pulse.half_duration())
+      acc += ((j & 1) != 0 ? -1.0 : 1.0) * pulse.value(t_rel);
+  }
+  return acc;
+}
+
+// The restricted burst scan changes no sample: every sample of a
+// multi-symbol packet, and the first and last pulse edges to the ulp, match
+// the full burst scan bit for bit, for an identity clock and for +/-40 ppm
+// clocks with jitter. The default pulse's leading edge lies before the
+// packet (rel < 0 cuts it); a 0.3 ns pulse puts it inside the packet.
+TEST(Transmitter, BurstScanMatchesFullScan) {
+  for (const double sigma : {0.7e-9, 0.3e-9}) {
+    SystemConfig base;
+    base.dt = 0.1e-9;
+    base.pulse_sigma = sigma;
+    std::vector<ClockConfig> clocks(3);
+    clocks[1].ppm = 40.0;
+    clocks[1].jitter_rms = 50e-12;
+    clocks[1].node_id = 1;
+    clocks[2].ppm = -40.0;
+    clocks[2].jitter_rms = 50e-12;
+    clocks[2].offset = 3e-9;
+    clocks[2].node_id = 2;
+    Packet p;
+    p.preamble_symbols = 3;
+    p.sfd_symbols = 1;
+    // The last symbol in slot 1, then in slot 0.
+    for (const std::vector<bool>& payload :
+         std::vector<std::vector<bool>>{{true, false, true}, {true, false}}) {
+      p.payload = payload;
+      for (const ClockConfig& clock : clocks) {
+        SystemConfig sys = base;
+        sys.clock = clock;
+        Transmitter tx(sys);
+        const double t_start = 2.5e-6;
+        tx.send(p, t_start);
+        const auto same = [&](double t) {
+          step_one(tx, t, sys.dt);
+          return std::bit_cast<std::uint64_t>(*tx.out()) ==
+                 std::bit_cast<std::uint64_t>(
+                     full_burst_scan(sys, tx, p, t_start, t));
+        };
+        int mismatches = 0;
+        int nonzero = 0;
+        const double end = t_start + p.duration(sys.symbol_period);
+        for (double t = t_start - 20e-9; t < end + 20e-9; t += sys.dt) {
+          mismatches += same(t) ? 0 : 1;
+          step_one(tx, t, sys.dt);
+          nonzero += *tx.out() != 0.0 ? 1 : 0;
+        }
+        // In kernel time, +/- a few ulps: the first pulse's leading edge
+        // and the last pulse's trailing edge.
+        const double half =
+            GaussianMonocycle(2, sys.pulse_sigma, 1.0).half_duration();
+        const double jitter = tx.clock().jitter_at(t_start);
+        const int last = p.total_symbols() - 1;
+        const double last_center =
+            last * sys.symbol_period +
+            p.slot_of_symbol(last) * sys.slot_period() +
+            tx.pulse_offset_in_slot() +
+            (sys.pulses_per_symbol - 1) * sys.pulse_spacing;
+        for (const double rel : {tx.pulse_offset_in_slot() - half,
+                                 last_center + half}) {
+          double t = tx.clock().true_time(t_start + jitter + rel);
+          for (int k = 0; k < 4; ++k) t = std::nextafter(t, 0.0);
+          for (int k = 0; k < 9; ++k, t = std::nextafter(t, 1.0))
+            mismatches += same(t) ? 0 : 1;
+        }
+        EXPECT_EQ(mismatches, 0) << "ppm " << clock.ppm << ", sigma " << sigma;
+        EXPECT_GT(nonzero, 100);  // the packet is really on air
+      }
+    }
+  }
 }
 
 TEST(Channel, PathLossLaw) {
@@ -225,6 +346,129 @@ TEST(Channel, NoiseVarianceMatchesPsd) {
   }
   EXPECT_NEAR(st.variance(), 0.5 * n0 * sys.sample_rate(),
               0.02 * 0.5 * n0 * sys.sample_rate());
+}
+
+// Reference for ChannelBlock's output: the plain tap loop with no silent
+// skip. One ring of max-delay + 2 + kMaxBatch slots,
+// each tap summed over the batch in tap order as at most two contiguous
+// spans, then one scalar gaussian() per sample.
+class ReferenceChannel {
+ public:
+  explicit ReferenceChannel(const SystemConfig& sys)
+      : sys_(sys), rng_(sys.seed) {}
+
+  void rebuild(const std::vector<ChannelTap>& taps, double scale,
+               double distance) {
+    sampled_.clear();
+    int max_delay = 1;
+    for (const auto& t : taps) {
+      const int d = static_cast<int>(std::round(
+          (distance / units::speed_of_light + t.delay) / sys_.dt));
+      sampled_.push_back({d, t.gain * scale});
+      max_delay = std::max(max_delay, d);
+    }
+    line_.assign(static_cast<std::size_t>(max_delay + 2) + ams::kMaxBatch,
+                 0.0);
+    write_pos_ = 0;
+  }
+
+  void step(const double* in, int n, double n0, double* out) {
+    const std::size_t len = line_.size();
+    std::size_t w = write_pos_;
+    for (int i = 0; i < n; ++i) {
+      line_[w] = (in != nullptr) ? in[i] : 0.0;
+      if (++w == len) w = 0;
+    }
+    for (int i = 0; i < n; ++i) out[i] = 0.0;
+    for (const auto& [delay, g] : sampled_) {
+      const std::size_t idx =
+          (write_pos_ + len - static_cast<std::size_t>(delay)) % len;
+      const int head =
+          static_cast<int>(std::min(static_cast<std::size_t>(n), len - idx));
+      for (int i = 0; i < head; ++i) out[i] += g * line_[idx + i];
+      for (int i = head; i < n; ++i) out[i] += g * line_[i - head];
+    }
+    if (n0 > 0.0) {
+      const double s = std::sqrt(0.5 * n0 * sys_.sample_rate());
+      for (int i = 0; i < n; ++i) out[i] += rng_.gaussian() * s;
+    }
+    write_pos_ = (write_pos_ + static_cast<std::size_t>(n)) % len;
+  }
+
+ private:
+  SystemConfig sys_;
+  base::Rng rng_;
+  std::vector<std::pair<int, double>> sampled_;
+  std::vector<double> line_;
+  std::size_t write_pos_ = 0;
+};
+
+// The silent-line skip changes no output bit: the block matches the
+// reference tap loop through bursts, silences longer than the line, -0.0
+// inputs, a null input and mid-run rebuilds, at every batch size, with and
+// without noise.
+TEST(Channel, SilentLineSkipMatchesReferenceTapSum) {
+  SystemConfig sys;
+  sys.dt = 0.1e-9;
+  sys.distance = 4.0;
+  sys.seed = 77;
+  base::Rng draw(5);
+  const ChannelRealization multipath = generate_cm1(draw);
+  ASSERT_GT(multipath.taps.size(), 8u);  // a real multipath sum
+  // Input: bursts of noise-like samples, -0.0 runs and silences of up to
+  // three line lengths (the CM1 line is ~1.3k samples at this dt).
+  std::vector<double> input;
+  for (int seg = 0; seg < 24; ++seg) {
+    const int len = draw.uniform_int(1, 4000);
+    const int kind = seg % 4;
+    for (int i = 0; i < len; ++i) {
+      if (kind == 0) input.push_back(draw.gaussian());
+      else if (kind == 1) input.push_back(-0.0);
+      else if (kind == 2) input.push_back(i % 97 == 0 ? 1.0 : 0.0);
+      else input.push_back(0.0);
+    }
+  }
+  for (const double n0 : {0.0, 4e-18}) {
+    for (const int batch : {1, 7, 64, ams::kMaxBatch}) {
+      ChannelBlock chan(sys, nullptr);
+      ReferenceChannel ref(sys);
+      chan.set_noise_psd(n0);
+      chan.set_realization(multipath, 0.5);
+      ref.rebuild(multipath.taps, 0.5, sys.distance);
+      double out[ams::kMaxBatch];
+      const std::size_t total = input.size();
+      int mismatches = 0;
+      std::size_t pos = 0;
+      for (int call = 0; pos < total; ++call) {
+        const int n = static_cast<int>(
+            std::min(total - pos, static_cast<std::size_t>(batch)));
+        // Every fifth call reads a null input (silence).
+        const double* in = (call % 5 == 4) ? nullptr : input.data() + pos;
+        chan.set_input(in);
+        ref.step(in, n, n0, out);
+        chan.step_block(nullptr, sys.dt, n);
+        for (int i = 0; i < n; ++i)
+          mismatches += std::bit_cast<std::uint64_t>(chan.out()[i]) ==
+                                std::bit_cast<std::uint64_t>(out[i])
+                            ? 0
+                            : 1;
+        pos += static_cast<std::size_t>(n);
+        // Mid-run rebuilds: a shorter AWGN-only line, then multipath back.
+        const std::size_t prev = pos - static_cast<std::size_t>(n);
+        if (pos >= total / 3 && prev < total / 3) {
+          chan.set_awgn_only(0.25);
+          ref.rebuild({ChannelTap{0.0, 1.0}}, 0.25, sys.distance);
+        }
+        if (pos >= 2 * total / 3 && prev < 2 * total / 3) {
+          chan.set_distance(7.0);
+          ref.rebuild({ChannelTap{0.0, 1.0}}, 0.25, 7.0);
+          chan.set_realization(multipath, 0.5);
+          ref.rebuild(multipath.taps, 0.5, 7.0);
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << "n0 " << n0 << ", batch " << batch;
+    }
+  }
 }
 
 TEST(Amplifier, GainAndSaturation) {
