@@ -63,9 +63,9 @@ REGISTER_SCENARIO(spice_playground, "example",
       "\ntransient: 30 mV differential input integrated for 100 ns\n"
       "  v(Out_intm) - v(Out_intp) = %.4f V\n"
       "  (%llu steps, %.2f Newton iterations/step)",
-      vout, static_cast<unsigned long long>(sim.steps_taken()),
-      static_cast<double>(sim.total_newton_iterations()) /
-          static_cast<double>(sim.steps_taken()));
+      vout, static_cast<unsigned long long>(sim.stats().steps),
+      static_cast<double>(sim.stats().newton_iterations) /
+          static_cast<double>(sim.stats().steps));
   ctx.sink.metric("transient_vout_v", vout);
   return op.converged ? 0 : 1;
 }

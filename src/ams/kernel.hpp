@@ -16,10 +16,9 @@
 //
 // The fixed step matches the paper's solver setup (0.05 ns system runs).
 // The kernel's macro step is also the co-simulation exchange interval: a
-// SpiceBridge with adaptive stepping enabled (TransientOptions::adaptive)
-// sub-steps each macro interval internally under LTE control and lands
-// exactly on the kernel boundary, so block wiring and determinism are
-// unaffected by the embedded solver's step choices.
+// SpiceBridge advances its embedded solver by one fixed step of the dt it
+// is stepped with (TransientSession::step), so block wiring and determinism
+// never depend on the embedded solver.
 //
 // Batched execution: run_until() advances the analog blocks in
 // *event-bounded batches* of up to kMaxBatch samples. The batch boundary is

@@ -61,13 +61,7 @@ void SpiceBridge::step_block(const double* /*t*/, double dt, int n) {
       in.last = target;
       in.source->set_override(target);
     }
-    // With adaptive stepping enabled the embedded solver sub-steps the
-    // macro interval under LTE control; otherwise it takes the kernel's
-    // step as-is.
-    if (opts_.adaptive.enabled)
-      session_->advance_to(session_->time() + dt);
-    else
-      session_->step(dt);
+    session_->step(dt);
     for (auto& out : outputs_)
       *out.value = session_->v(out.p) - session_->v(out.m);
   }

@@ -11,8 +11,8 @@
 
 namespace uwbams::base {
 
-std::uint64_t fnv1a64(std::string_view text) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+std::uint64_t fnv1a64(std::string_view text, std::uint64_t basis) {
+  std::uint64_t h = basis;
   for (const char c : text) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ULL;

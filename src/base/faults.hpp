@@ -34,10 +34,13 @@
 
 namespace uwbams::base {
 
-/// FNV-1a 64-bit hash. Used to key fault sites and artifact names into the
-/// derive_seed stream space, and as the checkpoint content hash — stable
-/// across platforms and builds by construction.
-std::uint64_t fnv1a64(std::string_view text);
+/// FNV-1a 64-bit hash. Used to key fault sites, artifact names and MOSFET
+/// mismatch sub-streams into the derive_seed stream space, and as the
+/// checkpoint content hash — stable across platforms and builds by
+/// construction. `basis` is the starting value (default: the standard
+/// FNV-1a 64-bit offset basis).
+std::uint64_t fnv1a64(std::string_view text,
+                      std::uint64_t basis = 0xcbf29ce484222325ULL);
 
 /// One injection rule of a FaultPlan.
 struct FaultRule {

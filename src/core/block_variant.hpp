@@ -36,8 +36,8 @@ struct VariantOptions {
   /// Netlist sizing for the spice variant.
   spice::ItdSizing sizing;
   /// Embedded solver configuration for the spice variant (defaults are the
-  /// paper's setup: trapezoidal, EPS 1e-6). Scenarios can enable adaptive
-  /// LTE stepping or disable factorization reuse from here.
+  /// paper's setup: trapezoidal, EPS 1e-6). Scenarios select the
+  /// stat_equiv engine profile or disable factorization reuse from here.
   spice::TransientOptions transient;
   bool behavioral_uses_clamp = false;  ///< paper's model: linear (no clamp)
 };

@@ -227,13 +227,6 @@ void from_json(const base::JsonValue& doc, spice::ItdSizing* out) {
   *out = tmp;
 }
 
-base::JsonValue to_json(const spice::AdaptiveOptions& c) {
-  return flat_to_json(c);
-}
-void from_json(const base::JsonValue& doc, spice::AdaptiveOptions* out) {
-  flat_from_json(doc, out, "AdaptiveOptions");
-}
-
 base::JsonValue to_json(const spice::OpOptions& c) { return flat_to_json(c); }
 void from_json(const base::JsonValue& doc, spice::OpOptions* out) {
   flat_from_json(doc, out, "OpOptions");
@@ -243,7 +236,6 @@ base::JsonValue to_json(const spice::TransientOptions& c) {
   spice::TransientOptions copy = c;
   JsonObject obj;
   visit_fields(copy, FieldWriter{&obj});
-  obj["adaptive"] = to_json(c.adaptive);
   obj["op"] = to_json(c.op);
   return JsonValue(std::move(obj));
 }
@@ -253,7 +245,6 @@ void from_json(const base::JsonValue& doc, spice::TransientOptions* out) {
   std::set<std::string> seen;
   spice::TransientOptions tmp{};
   visit_fields(tmp, Reader{&obj, &seen});
-  read_sub(obj, &seen, "adaptive", &tmp.adaptive, "TransientOptions");
   read_sub(obj, &seen, "op", &tmp.op, "TransientOptions");
   reject_unknown(obj, seen, "TransientOptions");
   *out = tmp;

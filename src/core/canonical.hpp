@@ -47,7 +47,7 @@ inline constexpr const char* kCodeVersion = "uwbams-code/9";
 // order. Visitors must accept double&, int&, bool&, std::uint64_t&,
 // std::vector<double>&, spice::Integrator&, spice::Corner& and
 // uwb::ChannelClass& (a generic lambda with `if constexpr` works). Nested
-// structs (SystemConfig::clock/interference, TransientOptions::adaptive/op,
+// structs (SystemConfig::clock/interference, TransientOptions::op,
 // ...) are *not* visited here — to_json emits them as sub-objects and the
 // tests iterate each struct separately.
 
@@ -171,18 +171,6 @@ void visit_fields(spice::ItdSizing& c, V&& v) {
 }
 
 template <typename V>
-void visit_fields(spice::AdaptiveOptions& c, V&& v) {
-  v("enabled", c.enabled);
-  v("lte_abstol", c.lte_abstol);
-  v("lte_reltol", c.lte_reltol);
-  v("dt_min", c.dt_min);
-  v("dt_max", c.dt_max);
-  v("grow_limit", c.grow_limit);
-  v("shrink", c.shrink);
-  v("safety", c.safety);
-}
-
-template <typename V>
 void visit_fields(spice::OpOptions& c, V&& v) {
   v("max_iterations", c.max_iterations);
   v("vabstol", c.vabstol);
@@ -201,9 +189,7 @@ void visit_fields(spice::TransientOptions& c, V&& v) {
   v("reltol", c.reltol);
   v("gmin", c.gmin);
   v("reuse_factorization", c.reuse_factorization);
-  v("predictor", c.predictor);
   v("lazy_jacobian", c.lazy_jacobian);
-  v("jacobian_refresh_every", c.jacobian_refresh_every);
   v("chord_tol_scale", c.chord_tol_scale);
   v("iabstol", c.iabstol);
   v("cosim_decimation", c.cosim_decimation);
@@ -293,9 +279,6 @@ void from_json(const base::JsonValue& doc, spice::ModelVariation* out);
 
 base::JsonValue to_json(const spice::ItdSizing& c);
 void from_json(const base::JsonValue& doc, spice::ItdSizing* out);
-
-base::JsonValue to_json(const spice::AdaptiveOptions& c);
-void from_json(const base::JsonValue& doc, spice::AdaptiveOptions* out);
 
 base::JsonValue to_json(const spice::OpOptions& c);
 void from_json(const base::JsonValue& doc, spice::OpOptions* out);

@@ -11,6 +11,9 @@ namespace {
 double magnitude(double v) { return std::abs(v); }
 double magnitude(const std::complex<double>& v) { return std::abs(v); }
 constexpr double kAbsPivotFloor = 1e-300;
+// refactor() rejects a frozen pivot below this fraction of its column's
+// largest candidate (the classic SPICE PIVREL).
+constexpr double kPivotRelTol = 1e-3;
 }  // namespace
 
 template <typename T>
@@ -19,11 +22,6 @@ LuFactor<T>::LuFactor(Matrix<T> a) {
     throw std::invalid_argument("LuFactor: matrix must be square");
   lu_ = std::move(a);  // one-shot path keeps the caller's storage
   factorize_loaded();
-}
-
-template <typename T>
-void LuFactor<T>::set_pivot_rel_tol(double tol) {
-  pivot_rel_tol_ = std::clamp(tol, 0.0, 1.0);
 }
 
 template <typename T>
@@ -168,7 +166,7 @@ bool LuFactor<T>::refactor(const Matrix<T>& a) {
       double colmax = ap;
       for (const std::uint32_t* pr = rows; pr != rows_end; ++pr)
         colmax = std::max(colmax, magnitude(lu_(*pr, k)));
-      if (ap < kAbsPivotFloor || ap < pivot_rel_tol_ * colmax) {
+      if (ap < kAbsPivotFloor || ap < kPivotRelTol * colmax) {
         pivot_ratio_ = (ap > 0.0) ? colmax / ap : 1e300;
         valid_ = false;
         return false;
@@ -195,7 +193,7 @@ bool LuFactor<T>::refactor(const Matrix<T>& a) {
       double colmax = ap;
       for (std::size_t r = k + 1; r < n; ++r)
         colmax = std::max(colmax, magnitude(lu_(r, k)));
-      if (ap < kAbsPivotFloor || ap < pivot_rel_tol_ * colmax) {
+      if (ap < kAbsPivotFloor || ap < kPivotRelTol * colmax) {
         pivot_ratio_ = (ap > 0.0) ? colmax / ap : 1e300;
         valid_ = false;
         return false;

@@ -87,9 +87,9 @@ class LuFactor {
   /// Re-factorizes `a` reusing the pivot order (and, when available, the
   /// symbolic pattern) of the last successful factor(). Returns false —
   /// leaving the factorization **invalid** — when the frozen pivot sequence
-  /// has degraded: a pivot falls below `pivot_rel_tol()` times the largest
-  /// candidate in its column, or below an absolute floor. The caller then
-  /// falls back to factor(), which re-selects pivots.
+  /// has degraded: a pivot falls below 1e-3 (the classic SPICE PIVREL) times
+  /// the largest candidate in its column, or below an absolute floor. The
+  /// caller then falls back to factor(), which re-selects pivots.
   bool refactor(const Matrix<T>& a);
 
   /// True when a factorization is held and solves are valid.
@@ -112,13 +112,6 @@ class LuFactor {
   /// convergence diagnostics and refactor-degradation reporting.
   double pivot_ratio() const { return pivot_ratio_; }
 
-  /// Relative pivot threshold for refactor() degradation detection
-  /// (default 1e-3, the classic SPICE PIVREL). A refactor pivot smaller
-  /// than this fraction of its column's largest candidate fails the reuse.
-  double pivot_rel_tol() const { return pivot_rel_tol_; }
-  /// Sets the relative pivot threshold (clamped to [0, 1]).
-  void set_pivot_rel_tol(double tol);
-
   /// Opt-in packed-value solve path: after each symbolic factor()/refactor()
   /// the L and U nonzeros are copied into contiguous arrays aligned with the
   /// symbolic column indices, and solve_in_place() streams them sequentially
@@ -130,7 +123,6 @@ class LuFactor {
     packed_solve_ = on;
     packed_valid_ = false;
   }
-  bool packed_solve() const { return packed_solve_; }
 
  private:
   void factorize_loaded();
@@ -142,7 +134,6 @@ class LuFactor {
   std::vector<std::size_t> perm_;
   std::vector<T> dinv_;  // reciprocal U diagonal: substitution multiplies
   double pivot_ratio_ = 1.0;
-  double pivot_rel_tol_ = 1e-3;
   bool valid_ = false;
 
   // Symbolic elimination structure in pivot (permuted-row) order, flat CSR

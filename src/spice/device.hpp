@@ -13,7 +13,6 @@
 /// that `TransientSession` reuses across Newton iterations.
 #pragma once
 
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -108,14 +107,6 @@ class Device {
     (void)x;
     (void)t;
     (void)dt;
-  }
-
-  /// Earliest waveform discontinuity strictly after time t [s], or +inf.
-  /// The adaptive stepper aligns step boundaries to these events (pulse and
-  /// PWL sources override; smooth devices keep the default).
-  virtual double next_break(double t) const {
-    (void)t;
-    return std::numeric_limits<double>::infinity();
   }
 
   /// Netlist element card for this device (see netlist_writer.hpp).

@@ -1,7 +1,6 @@
 #include "spice/devices.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "base/units.hpp"
@@ -239,38 +238,6 @@ double Waveform::value(double t) const {
   return 0.0;
 }
 
-double Waveform::next_edge(double t) const {
-  const double inf = std::numeric_limits<double>::infinity();
-  switch (kind_) {
-    case Kind::kDc:
-    case Kind::kSin:
-      return inf;
-    case Kind::kPulse: {
-      const double td = p_[2], tr = p_[3], tf = p_[4], pw = p_[5], per = p_[6];
-      // Slope corners of one period, relative to the delayed origin.
-      const double corners[4] = {0.0, tr, tr + pw, tr + pw + tf};
-      // Candidate edges in the current and the next period.
-      double base = td;
-      if (per > 0.0 && t > td)
-        base = td + std::floor((t - td) / per) * per;
-      for (int cycle = 0; cycle < 2; ++cycle) {
-        for (double c : corners) {
-          const double edge = base + cycle * (per > 0.0 ? per : 0.0) + c;
-          if (edge > t * (1.0 + 1e-12) + 1e-18) return edge;
-        }
-        if (per <= 0.0) break;
-      }
-      return inf;
-    }
-    case Kind::kPwl: {
-      for (double tc : pwl_t_)
-        if (tc > t * (1.0 + 1e-12) + 1e-18) return tc;
-      return inf;
-    }
-  }
-  return inf;
-}
-
 // ----------------------------------------------------------- VoltageSource
 
 VoltageSource::VoltageSource(std::string name, int n1, int n2, Waveform wf,
@@ -302,12 +269,6 @@ void VoltageSource::footprint(MnaPattern& pattern) const {
   pattern.add(b_, ib);
   pattern.add(ib, a_);
   pattern.add(ib, b_);
-}
-
-double VoltageSource::next_break(double t) const {
-  // Under an external override the waveform is not being played.
-  if (has_override_) return std::numeric_limits<double>::infinity();
-  return wf_.next_edge(t);
 }
 
 void VoltageSource::residual(std::vector<double>& f,
@@ -351,8 +312,6 @@ void CurrentSource::footprint(MnaPattern& pattern) const {
   pattern.add(a_, a_);
   pattern.add(b_, b_);
 }
-
-double CurrentSource::next_break(double t) const { return wf_.next_edge(t); }
 
 void CurrentSource::residual(std::vector<double>& f,
                              const StampArgs& args) const {

@@ -111,10 +111,6 @@ class Waveform {
   double value(double t) const;
   /// Value at t = 0 (the DC operating-point drive).
   double dc_value() const { return value(0.0); }
-  /// Earliest slope discontinuity strictly after t [s], or +inf. PULSE
-  /// reports its edge corners (periodically), PWL its corner times; DC and
-  /// SIN are smooth. Used for event-aligned adaptive stepping.
-  double next_edge(double t) const;
 
  private:
   enum class Kind { kDc, kPulse, kSin, kPwl };
@@ -157,7 +153,6 @@ class VoltageSource final : public Device {
     ac_mag_ = mag;
     ac_phase_deg_ = phase_deg;
   }
-  double next_break(double t) const override;
   std::string card(const Circuit& circuit) const override;
 
  private:
@@ -181,7 +176,6 @@ class CurrentSource final : public Device {
   void footprint(MnaPattern& pattern) const override;
   void stamp_ac(Mna<std::complex<double>>& mna, const std::vector<double>& op,
                 double omega) const override;
-  double next_break(double t) const override;
   std::string card(const Circuit& circuit) const override;
 
  private:

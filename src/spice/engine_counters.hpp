@@ -22,7 +22,7 @@ struct EngineCounterSnapshot {
   std::uint64_t sessions = 0;            ///< TransientSessions retired
   std::uint64_t steps = 0;               ///< committed transient steps
   std::uint64_t accepted_steps = 0;      ///< accepted step attempts
-  std::uint64_t rejected_steps = 0;      ///< rejected attempts (LTE or Newton)
+  std::uint64_t rejected_steps = 0;      ///< rejected (Newton-failed) attempts
   std::uint64_t fallback_steps = 0;      ///< BE / sub-step rescues
   std::uint64_t newton_iterations = 0;   ///< transient Newton iterations
   std::uint64_t factorizations = 0;      ///< fresh partial-pivot LU factors

@@ -10,13 +10,17 @@
 
 namespace uwbams::spice {
 
+namespace {
+// Chord-iteration budget between Jacobian rebuilds within one step attempt.
+constexpr int kJacobianRefreshEvery = 3;
+}  // namespace
+
 TransientSession::TransientSession(Circuit& circuit, TransientOptions options)
     : circuit_(&circuit), opts_(options), mna_(0) {
   circuit_->prepare();
   OpResult op = solve_op(*circuit_, opts_.op);
   if (!op.converged)
     throw std::runtime_error("TransientSession: operating point did not converge");
-  op_ = op.x;
   x_ = op.x;
   for (const auto& dev : circuit_->devices()) dev->init_state(x_);
   // One structure-locked workspace for the session's whole lifetime.
@@ -40,8 +44,6 @@ TransientSession::TransientSession(Circuit& circuit, TransientOptions options)
   lu_.set_packed_solve(opts_.packed_solve);
   x_work_ = x_;
   x_new_ = x_;
-  x_prev_ = x_;
-  dt_next_ = opts_.dt;
 }
 
 TransientSession::~TransientSession() {
@@ -91,9 +93,9 @@ bool TransientSession::newton_step(double dt, Integrator method,
         linear_lu_method_ != method) {
       // A (dt, method) change only rescales companion values — same
       // structure — so the frozen pivot order usually survives: refactor
-      // first (cheap, no pivot search; essential under adaptive stepping
-      // where dt changes nearly every step) and fall back to a fresh
-      // partial-pivoting factorization when it degrades.
+      // first (cheap, no pivot search; the BE rescues and sub-steps change
+      // (dt, method)) and fall back to a fresh partial-pivoting
+      // factorization when it degrades.
       bool factored = false;
       if (opts_.reuse_factorization && lu_primed_) {
         if (lu_.refactor(mna_.matrix())) {
@@ -126,7 +128,6 @@ bool TransientSession::newton_step(double dt, Integrator method,
   }
 
   const bool chord = opts_.lazy_jacobian && circuit_->residual_capable();
-  const int refresh_every = std::max(1, opts_.jacobian_refresh_every);
   // Chord iterations only contract while the cached Jacobian is close
   // enough; track the update norm and rebuild as soon as contraction stops
   // (mode switches, large drive edges) instead of waiting for the budget.
@@ -138,7 +139,7 @@ bool TransientSession::newton_step(double dt, Integrator method,
     ++stats_.newton_iterations;
     const bool jac_stale = !lu_primed_ || jac_dt_ != dt || jac_method_ != method;
     const bool refresh =
-        !chord_ok || jac_stale || (chord_streak >= refresh_every);
+        !chord_ok || jac_stale || (chord_streak >= kJacobianRefreshEvery);
     double check = 0.0;  // NaN/inf sentinel over the update
     bool converged = true;
     if (refresh) {
@@ -254,47 +255,24 @@ bool TransientSession::newton_step(double dt, Integrator method,
   return false;
 }
 
-void TransientSession::commit_all(const std::vector<double>& x, double dt) {
-  for (Device* dev : stateful_) dev->commit(x, t_ + dt, dt);
-}
-
-// Linear history extrapolation over dt — the one formula shared by the
-// Newton warm start and the adaptive LTE reference.
-void TransientSession::extrapolate_into(double dt,
-                                        std::vector<double>& out) const {
-  const double r = dt / dt_prev_;
-  out.resize(x_.size());
-  for (std::size_t i = 0; i < x_.size(); ++i)
-    out[i] = x_[i] + (x_[i] - x_prev_[i]) * r;
-}
-
-void TransientSession::predict_into(double dt, std::vector<double>& x) const {
-  if (!opts_.predictor || !have_history_ || dt_prev_ <= 0.0) {
-    x = x_;
-    return;
-  }
-  extrapolate_into(dt, x);
-}
-
-void TransientSession::note_history(double dt) {
-  // x_work_ holds the accepted solution; keep the outgoing committed one as
-  // the predictor history point.
-  x_prev_ = x_;
+// Commits x_work_ as the solution at t_ + dt.
+void TransientSession::accept(double dt) {
+  for (Device* dev : stateful_) dev->commit(x_work_, t_ + dt, dt);
   x_.swap(x_work_);
-  dt_prev_ = dt;
-  have_history_ = true;
+  t_ += dt;
+  ++stats_.accepted_steps;
 }
 
 void TransientSession::step(double dt) {
-  if (dt <= 0.0) throw std::invalid_argument("TransientSession::step: dt <= 0");
+  if (!(std::isfinite(dt) && dt > 0.0))
+    throw std::invalid_argument("TransientSession::step: dt = " +
+                                std::to_string(dt) +
+                                " is not finite and > 0");
 
-  predict_into(dt, x_work_);  // predictor warm start (or committed solution)
+  x_work_ = x_;
   if (newton_step(dt, opts_.method, x_work_)) {
-    commit_all(x_work_, dt);
-    note_history(dt);
-    t_ += dt;
+    accept(dt);
     ++stats_.steps;
-    ++stats_.accepted_steps;
     return;
   }
 
@@ -302,11 +280,8 @@ void TransientSession::step(double dt) {
   ++stats_.rejected_steps;
   x_work_ = x_;
   if (newton_step(dt, Integrator::kBackwardEuler, x_work_)) {
-    commit_all(x_work_, dt);
-    note_history(dt);
-    t_ += dt;
+    accept(dt);
     ++stats_.steps;
-    ++stats_.accepted_steps;
     ++stats_.fallback_steps;
     return;
   }
@@ -321,117 +296,13 @@ void TransientSession::step(double dt) {
       throw std::runtime_error(
           "TransientSession: Newton failed at t=" + std::to_string(t_) +
           (stats_.last_failure.empty() ? "" : ": " + stats_.last_failure));
-    commit_all(x_work_, sub);
-    note_history(sub);
-    t_ += sub;
-    ++stats_.accepted_steps;
+    accept(sub);
   }
   ++stats_.steps;
 }
 
 void TransientSession::run_until(double t_stop) {
   while (t_ < t_stop - 0.5 * opts_.dt) step(opts_.dt);
-}
-
-double TransientSession::next_break_time() const {
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& dev : circuit_->devices())
-    best = std::min(best, dev->next_break(t_));
-  return best;
-}
-
-void TransientSession::advance_to(double t_stop) {
-  const AdaptiveOptions& ao = opts_.adaptive;
-  const double teps =
-      1e-12 * std::max({std::abs(t_stop), opts_.dt, 1e-12});
-  // Never rewind: committed device history lives at time(); snapping t_
-  // backwards would desynchronize sources from companion state.
-  if (t_stop <= t_ + teps) return;
-  if (!ao.enabled) {
-    // Full opts.dt steps while they fit, then one remainder step — never
-    // stepping past t_stop (overshooting would commit device history at a
-    // time the snap below rewinds away from).
-    while (t_stop - t_ > opts_.dt * (1.0 + 1e-9)) step(opts_.dt);
-    const double rem = t_stop - t_;
-    if (rem > teps) step(rem);
-    t_ = t_stop;
-    return;
-  }
-
-  if (dt_next_ <= 0.0) dt_next_ = opts_.dt;
-  while (t_ < t_stop - teps) {
-    // The controller's proposal, before event clipping. Growth decisions
-    // are based on this (not on the clipped step), so landing exactly on a
-    // breakpoint or macro boundary does not collapse the step size.
-    double proposal = dt_next_;
-    if (ao.dt_max > 0.0) proposal = std::min(proposal, ao.dt_max);
-    proposal = std::max(proposal, ao.dt_min);
-    // Event-aligned stepping: land exactly on the nearer of t_stop and the
-    // next source-waveform discontinuity, splitting the remainder so the
-    // landing step is never a sliver.
-    double dt = proposal;
-    const double limit = std::min(t_stop, next_break_time());
-    const double rem = limit - t_;
-    if (dt >= rem)
-      dt = rem;
-    else if (dt > 0.5 * rem)
-      dt = 0.5 * rem;
-    if (dt <= 0.0) break;  // numerical corner: already at the limit
-
-    predict_into(dt, x_work_);
-    bool ok = newton_step(dt, opts_.method, x_work_);
-    if (!ok) {
-      x_work_ = x_;  // rescue from the committed solution, not the predictor
-      ok = newton_step(dt, Integrator::kBackwardEuler, x_work_);
-      if (ok) ++stats_.fallback_steps;
-    }
-    if (!ok) {
-      ++stats_.rejected_steps;
-      if (dt <= ao.dt_min * (1.0 + 1e-9))
-        throw std::runtime_error(
-            "TransientSession: Newton failed at minimum step, t=" +
-            std::to_string(t_) +
-            (stats_.last_failure.empty() ? "" : ": " + stats_.last_failure));
-      dt_next_ = std::max(dt * ao.shrink, ao.dt_min);
-      continue;
-    }
-
-    // LTE accept/reject: compare the corrector against the shared linear
-    // history extrapolation (the same formula the Newton warm start uses);
-    // the /3 matches the trapezoidal-vs-explicit error split.
-    double err = 0.0;
-    if (have_history_ && dt_prev_ > 0.0) {
-      extrapolate_into(dt, x_pred_);
-      for (std::size_t i = 0; i < x_.size(); ++i) {
-        const double scale =
-            ao.lte_abstol +
-            ao.lte_reltol * std::max(std::abs(x_work_[i]), std::abs(x_[i]));
-        err = std::max(err, std::abs(x_work_[i] - x_pred_[i]) / (3.0 * scale));
-      }
-    }
-    if (err > 1.0 && dt > ao.dt_min * (1.0 + 1e-9)) {
-      ++stats_.rejected_steps;
-      const double f =
-          std::max(ao.shrink, ao.safety * std::pow(err, -1.0 / 3.0));
-      dt_next_ = std::max(dt * f, ao.dt_min);
-      continue;
-    }
-
-    commit_all(x_work_, dt);
-    note_history(dt);
-    t_ += dt;
-    ++stats_.steps;
-    ++stats_.accepted_steps;
-    double f = ao.grow_limit;
-    if (err > 0.0)
-      f = std::clamp(ao.safety * std::pow(err, -1.0 / 3.0), ao.shrink,
-                     ao.grow_limit);
-    // Grow from the unclipped proposal when the delivery was merely
-    // event-aligned; the LTE at the (smaller) delivered dt can only have
-    // been easier, so the proposal remains the controller's state.
-    dt_next_ = std::max(std::max(dt, proposal) * f, ao.dt_min);
-  }
-  t_ = t_stop;  // snap off the accumulated landing rounding
 }
 
 }  // namespace uwbams::spice

@@ -17,12 +17,10 @@
 /// Circuits with no nonlinear device skip Newton iteration entirely and
 /// solve every step with a single cached factorization per (dt, method).
 ///
-/// **Adaptive stepping.** advance_to() runs a trapezoidal
-/// predictor-corrector loop with a local-truncation-error estimate,
-/// growing/shrinking the step under accept/reject control and aligning
-/// step boundaries to source waveform edges (Device::next_break). Enabled
-/// per session through TransientOptions::adaptive; step() remains the
-/// paper's fixed-step scheme.
+/// **Stepping.** step() is the only way time advances: one fixed step of
+/// the caller's dt, rescued by backward Euler and then by four BE
+/// sub-steps when Newton fails. Each step's Newton iteration starts from
+/// the last committed solution.
 #pragma once
 
 #include <cstdint>
@@ -39,28 +37,12 @@ namespace uwbams::spice {
 
 class Mosfet;
 
-/// Adaptive local-truncation-error step control (advance_to()).
-///
-/// The LTE of each candidate step is estimated from the difference between
-/// the solved corrector and a linear history predictor; a step is accepted
-/// when the worst normalized component error is below 1.
-struct AdaptiveOptions {
-  bool enabled = false;       ///< off = advance_to() uses fixed opts.dt steps
-  double lte_abstol = 1e-4;   ///< absolute LTE target per component [V or A]
-  double lte_reltol = 1e-3;   ///< relative LTE target (vs iterate magnitude)
-  double dt_min = 1e-14;      ///< smallest step the controller may take [s]
-  double dt_max = 0.0;        ///< largest step [s]; 0 = unlimited
-  double grow_limit = 2.0;    ///< max step growth factor per accepted step
-  double shrink = 0.25;       ///< smallest shrink factor per rejected step
-  double safety = 0.9;        ///< controller safety factor on the LTE ratio
-};
-
 /// Per-session engine statistics (monotonic over the session's lifetime).
 /// Flushed into the process-wide engine_counters on session destruction.
 struct TransientStats {
   std::uint64_t steps = 0;               ///< committed macro steps
   std::uint64_t accepted_steps = 0;      ///< accepted step attempts
-  std::uint64_t rejected_steps = 0;      ///< LTE or Newton rejections
+  std::uint64_t rejected_steps = 0;      ///< Newton rejections
   std::uint64_t fallback_steps = 0;      ///< BE / sub-step rescues
   std::uint64_t newton_iterations = 0;   ///< Newton iterations performed
   std::uint64_t factorizations = 0;      ///< fresh partial-pivot LU factors
@@ -92,23 +74,15 @@ struct TransientOptions {
   /// **both** this and `lazy_jacobian` — as the fast-vs-classic
   /// equivalence tests do.
   bool reuse_factorization = true;
-  /// Warm-start each step's Newton iteration from the linear history
-  /// extrapolation instead of the last committed solution. Off by default:
-  /// for noise-driven co-simulation inputs the extrapolation is no better
-  /// than the committed solution.
-  bool predictor = false;
   /// Chord (modified-Newton) iterations: keep the factorized Jacobian
   /// across iterations and steps, evaluating only device currents
   /// (Device::residual) per iteration, and rebuild the Jacobian only when
-  /// (dt, method) changes or an attempt needs more than
-  /// `jacobian_refresh_every` iterations. The converged fixed point is the
-  /// same nonlinear system solved to the same tolerances — only the
-  /// iteration path (and its cost) differs. Requires every device to
-  /// support residual(); automatically off otherwise.
+  /// (dt, method) changes or three chord iterations in a row have not
+  /// converged. The converged fixed point is the same nonlinear system
+  /// solved to the same tolerances — only the iteration path (and its
+  /// cost) differs. Requires every device to support residual();
+  /// automatically off otherwise.
   bool lazy_jacobian = true;
-  /// Chord-iteration budget between Jacobian rebuilds within one step
-  /// attempt (>= 1).
-  int jacobian_refresh_every = 3;
   /// Chord iterations accept at `chord_tol_scale` times the Newton
   /// tolerance (vabstol/reltol). Chord convergence is linear rather than
   /// quadratic, so accepting at the plain tolerance leaves a larger
@@ -139,7 +113,6 @@ struct TransientOptions {
   /// freeze the neighboring region's Meyer caps for a device landing
   /// exactly on a region boundary, so reserved for stat_equiv runs.
   bool fused_commit = false;
-  AdaptiveOptions adaptive;  ///< adaptive stepping (advance_to) knobs
   OpOptions op;              ///< initial operating point options
 };
 
@@ -180,15 +153,13 @@ class TransientSession {
   void step() { step(opts_.dt); }
   /// Advance one step of an explicit dt [s], with the fixed-step rescue
   /// ladder (backward Euler, then four BE sub-steps).
+  /// @throws std::invalid_argument if dt is not finite and > 0 (the
+  ///         session is left unchanged).
   /// @throws std::runtime_error if Newton fails even after the fallbacks
   ///         (the message carries the recorded failure diagnostics).
   void step(double dt);
-  /// Advance until `t_stop` with fixed opts.dt steps (legacy helper).
+  /// Advance with fixed opts.dt steps until within half a step of `t_stop`.
   void run_until(double t_stop);
-  /// Advance exactly to `t_stop`. With adaptive stepping enabled this runs
-  /// the LTE accept/reject loop (event-aligned, landing on t_stop); with it
-  /// disabled it takes fixed opts.dt steps plus one remainder step.
-  void advance_to(double t_stop);
 
   /// Voltage of `node` in the committed solution [V].
   double v(NodeId node) const { return circuit_->voltage_in(x_, node); }
@@ -197,8 +168,6 @@ class TransientSession {
   double v(const std::string& node_name) const;
   /// The committed solution vector (node voltages then branch currents).
   const std::vector<double>& solution() const { return x_; }
-  /// The initial operating point this session started from.
-  const std::vector<double>& operating_point() const { return op_; }
 
   /// Named voltage source handle for external driving (co-simulation).
   /// @throws std::invalid_argument when no such voltage source exists.
@@ -206,26 +175,15 @@ class TransientSession {
 
   /// Engine statistics accumulated so far.
   const TransientStats& stats() const { return stats_; }
-  /// Total Newton iterations (legacy accessor; = stats().newton_iterations).
-  std::uint64_t total_newton_iterations() const { return stats_.newton_iterations; }
-  /// Committed steps (legacy accessor; = stats().steps).
-  std::uint64_t steps_taken() const { return stats_.steps; }
-  /// Fallback rescues (legacy accessor; = stats().fallback_steps).
-  std::uint64_t fallback_steps() const { return stats_.fallback_steps; }
 
  private:
   bool newton_step(double dt, Integrator method, std::vector<double>& x);
-  void extrapolate_into(double dt, std::vector<double>& out) const;
-  void predict_into(double dt, std::vector<double>& x) const;
-  void commit_all(const std::vector<double>& x, double dt);
-  void note_history(double dt);
-  double next_break_time() const;
+  void accept(double dt);
   void record_failure(std::string reason, double pivot_ratio);
 
   Circuit* circuit_;
   TransientOptions opts_;
   std::vector<double> x_;   // current committed solution
-  std::vector<double> op_;  // initial operating point
   double t_ = 0.0;
   TransientStats stats_;
 
@@ -250,13 +208,6 @@ class TransientSession {
   std::vector<double> x_work_;   // step candidate
   std::vector<double> x_new_;    // Newton iterate scratch
   std::vector<double> f_;        // residual / chord update scratch
-
-  // --- predictor history for the adaptive LTE estimate ------------------
-  std::vector<double> x_pred_;   // shared extrapolation scratch
-  std::vector<double> x_prev_;   // solution one committed step back
-  double dt_prev_ = 0.0;
-  bool have_history_ = false;
-  double dt_next_ = 0.0;         // adaptive controller's persisted proposal
 };
 
 }  // namespace uwbams::spice

@@ -157,9 +157,8 @@ TEST(CanonicalCompleteness, FieldCountAndSizeofPins) {
   EXPECT_EQ(field_count<uwb::InterferenceConfig>(), 6);
   EXPECT_EQ(field_count<spice::ModelVariation>(), 8);
   EXPECT_EQ(field_count<spice::ItdSizing>(), 37);
-  EXPECT_EQ(field_count<spice::AdaptiveOptions>(), 8);
   EXPECT_EQ(field_count<spice::OpOptions>(), 6);
-  EXPECT_EQ(field_count<spice::TransientOptions>(), 15);
+  EXPECT_EQ(field_count<spice::TransientOptions>(), 13);
   EXPECT_EQ(field_count<core::CharacterizeOptions>(), 7);
   EXPECT_EQ(field_count<uwb::TwrConfig>(), 5);
   EXPECT_EQ(field_count<net::CalibrationConfig>(), 7);
@@ -169,10 +168,9 @@ TEST(CanonicalCompleteness, FieldCountAndSizeofPins) {
   EXPECT_EQ(sizeof(uwb::InterferenceConfig), 48u);
   EXPECT_EQ(sizeof(spice::ModelVariation), 64u);
   EXPECT_EQ(sizeof(spice::ItdSizing), 360u);
-  EXPECT_EQ(sizeof(spice::AdaptiveOptions), 64u);
   EXPECT_EQ(sizeof(spice::OpOptions), 64u);
-  EXPECT_EQ(sizeof(spice::TransientOptions), 200u);
-  EXPECT_EQ(sizeof(core::CharacterizeOptions), 256u);
+  EXPECT_EQ(sizeof(spice::TransientOptions), 136u);
+  EXPECT_EQ(sizeof(core::CharacterizeOptions), 192u);
   EXPECT_EQ(sizeof(uwb::TwrConfig), 536u);
   EXPECT_EQ(sizeof(net::CalibrationConfig), 656u);
 }
@@ -193,9 +191,6 @@ TEST(CanonicalMutation, EveryFieldFlipsTheKey) {
       [](const spice::ModelVariation& c) { return canon::to_json(c); });
   expect_every_field_keyed<spice::ItdSizing>(
       "ItdSizing", [](const spice::ItdSizing& c) { return canon::to_json(c); });
-  expect_every_field_keyed<spice::AdaptiveOptions>(
-      "AdaptiveOptions",
-      [](const spice::AdaptiveOptions& c) { return canon::to_json(c); });
   expect_every_field_keyed<spice::OpOptions>(
       "OpOptions", [](const spice::OpOptions& c) { return canon::to_json(c); });
   expect_every_field_keyed<spice::TransientOptions>(
@@ -306,6 +301,25 @@ TEST(CanonicalStrictness, RejectsUnknownMissingAndMalformed) {
   frac["adc_bits"] = base::JsonValue(3.5);  // int field, non-integral
   uwb::SystemConfig sys_out;
   EXPECT_THROW(canon::from_json(base::JsonValue(frac), &sys_out),
+               base::JsonError);
+
+  // TransientOptions documents written before the adaptive stepper and
+  // the Newton predictor were removed: their knobs are unknown keys now,
+  // so an old characterize entry or checkpoint is refused, not re-read
+  // as if those knobs never existed.
+  const base::JsonValue tr_doc = canon::to_json(spice::TransientOptions{});
+  spice::TransientOptions tr_out;
+  base::JsonObject old_adaptive = tr_doc.as_object();
+  base::JsonObject adaptive;
+  adaptive["enabled"] = base::JsonValue(false);
+  adaptive["lte_abstol"] = base::JsonValue(1e-4);
+  old_adaptive["adaptive"] = base::JsonValue(adaptive);
+  EXPECT_THROW(canon::from_json(base::JsonValue(old_adaptive), &tr_out),
+               base::JsonError);
+  base::JsonObject old_predictor = tr_doc.as_object();
+  old_predictor["predictor"] = base::JsonValue(false);
+  old_predictor["jacobian_refresh_every"] = base::JsonValue(3);
+  EXPECT_THROW(canon::from_json(base::JsonValue(old_predictor), &tr_out),
                base::JsonError);
 }
 
@@ -444,7 +458,7 @@ TEST(ReferenceVectors, PinnedContentKeys) {
             "0x34e5dc2a9cbe93c1");
   EXPECT_EQ(
       base::hex_u64(canon::key_of(canon::to_json(spice::TransientOptions{}))),
-      "0x248288238207882a");
+      "0x5ddb4388c1465eb6");
   EXPECT_EQ(base::hex_u64(
                 runner::spec_content_key(runner::ScenarioSpec("pinned"))),
             "0x8200392562a065e3");
@@ -454,7 +468,7 @@ TEST(ReferenceVectors, PinnedContentKeys) {
   // The memo keys of the default configurations: existing UWBAMS_CACHE
   // stores keep hitting while these hold.
   EXPECT_EQ(base::hex_u64(core::memo::characterize_content_key({}, {})),
-            "0x12724a3f4b65ee52");
+            "0x9aa9d83bbbc37514");
   EXPECT_EQ(base::hex_u64(net::surrogate_content_key(
                 net::CalibrationConfig{}, core::IntegratorKind::kIdeal)),
             "0x4d9112688efd0c57");

@@ -1,12 +1,12 @@
 // Tests for the fast-path transient engine: structure-locked MNA workspace
 // and device footprints, factorization reuse (pivot reuse + chord
-// iterations), the linear single-factorization path, adaptive LTE stepping
-// with event alignment, and the Newton failure diagnostics.
+// iterations), the linear single-factorization path, and the step() input
+// checks and Newton failure diagnostics.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,7 +30,7 @@ using spice::Waveform;
 
 // Simple RC lowpass: 1 kOhm / 1 pF (tau = 1 ns) driven by a 1 V step-ish
 // pulse.
-Circuit make_rc(double delay_s = 1e-9) {
+Circuit make_rc() {
   Circuit ckt;
   const int in = ckt.node("in");
   const int out = ckt.node("out");
@@ -38,7 +38,7 @@ Circuit make_rc(double delay_s = 1e-9) {
   ckt.add<Capacitor>("c1", out, 0, 1e-12);
   ckt.add<VoltageSource>(
       "vin", in, 0,
-      Waveform::pulse(0.0, 1.0, delay_s, 0.05e-9, 0.05e-9, 100e-9, 200e-9));
+      Waveform::pulse(0.0, 1.0, 1e-9, 0.05e-9, 0.05e-9, 100e-9, 200e-9));
   return ckt;
 }
 
@@ -293,70 +293,37 @@ TEST(FastPath, ResidualMatchesStampLinearization) {
   }
 }
 
-TEST(Adaptive, AcceptRejectAndGrowth) {
-  Circuit ckt = make_rc(5e-9);
-  TransientOptions topts;
-  topts.dt = 0.01e-9;  // initial step proposal
-  topts.adaptive.enabled = true;
-  topts.adaptive.lte_abstol = 1e-5;
-  topts.adaptive.lte_reltol = 1e-4;
-  topts.adaptive.dt_max = 5e-9;
-  TransientSession s(ckt, topts);
-  s.advance_to(100e-9);
-  EXPECT_DOUBLE_EQ(s.time(), 100e-9);
-  const auto& st = s.stats();
-  EXPECT_GT(st.accepted_steps, 0u);
-  // The pulse edges must force rejections (step shrink) somewhere.
-  EXPECT_GT(st.rejected_steps, 0u);
-  // Step growth: far fewer steps than the fixed 0.01 ns grid would take
-  // (10000), because flat regions run at dt_max.
-  EXPECT_LT(st.steps, 2000u);
-  // Accuracy: compare against a fine fixed-step reference.
-  Circuit ref_ckt = make_rc(5e-9);
-  TransientOptions ref;
-  ref.dt = 0.01e-9;
-  TransientSession r(ref_ckt, ref);
-  r.run_until(100e-9);
-  EXPECT_NEAR(s.v("out"), r.v("out"), 1e-3);
-}
-
-TEST(Adaptive, LandsExactlyOnStopTime) {
-  Circuit ckt = make_rc();
-  TransientOptions topts;
-  topts.adaptive.enabled = true;
-  TransientSession s(ckt, topts);
-  for (int k = 1; k <= 5; ++k) {
-    const double target = 1.7e-9 * k;  // deliberately not a dt multiple
-    s.advance_to(target);
-    EXPECT_DOUBLE_EQ(s.time(), target);
+TEST(Diagnostics, StepRejectsNonFiniteAndNonPositiveDt) {
+  // A bad dt is a caller error: it must throw before any Newton work, so
+  // neither the clock nor the engine statistics (which feed the
+  // process-wide counters) record a failed step.
+  Circuit ckt = make_mos_amp();
+  TransientSession s(ckt, {});
+  for (int i = 0; i < 5; ++i) s.step(0.1e-9);
+  const double t0 = s.time();
+  const std::vector<double> x0 = s.solution();
+  const spice::TransientStats st0 = s.stats();
+  for (const double dt : {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(), -0.0}) {
+    EXPECT_THROW(s.step(dt), std::invalid_argument) << dt;
+    EXPECT_EQ(s.time(), t0) << dt;
+    EXPECT_EQ(s.solution(), x0) << dt;
+    const auto& st = s.stats();
+    EXPECT_EQ(st.steps, st0.steps) << dt;
+    EXPECT_EQ(st.accepted_steps, st0.accepted_steps) << dt;
+    EXPECT_EQ(st.rejected_steps, st0.rejected_steps) << dt;
+    EXPECT_EQ(st.fallback_steps, st0.fallback_steps) << dt;
+    EXPECT_EQ(st.newton_iterations, st0.newton_iterations) << dt;
+    EXPECT_EQ(st.factorizations, st0.factorizations) << dt;
+    EXPECT_EQ(st.refactorizations, st0.refactorizations) << dt;
+    EXPECT_EQ(st.solves, st0.solves) << dt;
+    EXPECT_EQ(st.singular_failures, st0.singular_failures) << dt;
+    EXPECT_EQ(st.nonconverged_failures, st0.nonconverged_failures) << dt;
+    EXPECT_EQ(st.last_failure, st0.last_failure) << dt;
   }
-}
-
-TEST(Adaptive, WaveformEdgeReporting) {
-  const auto pulse = Waveform::pulse(0.0, 1.0, 2e-9, 0.1e-9, 0.2e-9, 3e-9,
-                                     10e-9);
-  // Edges: delay 2ns, rise end 2.1ns, width end 5.1ns, fall end 5.3ns,
-  // then periodic at +10ns.
-  EXPECT_NEAR(pulse.next_edge(0.0), 2e-9, 1e-18);
-  EXPECT_NEAR(pulse.next_edge(2e-9), 2.1e-9, 1e-18);
-  EXPECT_NEAR(pulse.next_edge(2.1e-9), 5.1e-9, 1e-18);
-  EXPECT_NEAR(pulse.next_edge(5.1e-9), 5.3e-9, 1e-18);
-  EXPECT_NEAR(pulse.next_edge(5.3e-9), 12e-9, 1e-18);
-  EXPECT_NEAR(pulse.next_edge(11.9e-9), 12e-9, 1e-18);
-  const auto flat = Waveform::dc(1.0);
-  EXPECT_TRUE(std::isinf(flat.next_edge(0.0)));
-  const auto pwl = Waveform::pwl({0.0, 1e-9, 3e-9}, {0.0, 1.0, 0.5});
-  EXPECT_NEAR(pwl.next_edge(0.5e-9), 1e-9, 1e-18);
-  EXPECT_NEAR(pwl.next_edge(1e-9), 3e-9, 1e-18);
-  EXPECT_TRUE(std::isinf(pwl.next_edge(3e-9)));
-}
-
-TEST(Adaptive, FixedFallbackWhenDisabled) {
-  Circuit ckt = make_rc();
-  TransientSession s(ckt, {});  // adaptive disabled
-  s.advance_to(3.3e-9);
-  EXPECT_DOUBLE_EQ(s.time(), 3.3e-9);
-  EXPECT_GT(s.stats().steps, 0u);
+  // The session is still usable afterwards.
+  s.step(0.1e-9);
+  EXPECT_EQ(s.stats().steps, st0.steps + 1);
 }
 
 TEST(Diagnostics, NonconvergenceIsRecordedWithReason) {
