@@ -1,8 +1,8 @@
 #include "base/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -11,11 +11,108 @@
 
 namespace uwbams::base {
 
+// The shared pool behind a ParallelRunner with jobs > 1. Every index is
+// claimed and every completion counted under `mu`; a batch lives on its
+// caller's stack, and no worker touches it after counting its last
+// completion (the caller's wait ends only then).
+struct ParallelRunner::Pool {
+  struct Batch {
+    std::size_t n = 0;
+    const std::function<void(std::size_t)>* body = nullptr;  // never throws
+    std::size_t next = 0;      // first unclaimed index
+    std::size_t finished = 0;  // indices whose body returned
+    std::condition_variable all_finished;
+  };
+
+  explicit Pool(std::size_t workers) : workers(workers) {}
+
+  ~Pool() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      stop = true;
+    }
+    work.notify_all();
+    for (auto& t : threads) t.join();
+  }
+
+  // Bodies are fan_out's failure-catching wrappers. One that throws anyway
+  // would leave its batch to the workers after its caller unwound, so it
+  // terminates instead.
+  static void run_index(const Batch& b, std::size_t i) noexcept {
+    (*b.body)(i);
+  }
+
+  // Claims the next index of `b` and closes `b` once its last index is
+  // claimed. Requires `mu`.
+  std::size_t claim(Batch* b) {
+    const std::size_t i = b->next++;
+    if (b->next == b->n) open.erase(std::find(open.begin(), open.end(), b));
+    return i;
+  }
+
+  // Publishes body(0..n-1) as one batch; the caller works through its own
+  // indices, then waits for those the workers claimed.
+  void run(std::size_t n, const std::function<void(std::size_t)>& body) {
+    Batch b;
+    b.n = n;
+    b.body = &body;
+    std::unique_lock<std::mutex> lock(mu);
+    if (threads.empty())
+      for (std::size_t w = 0; w < workers; ++w)
+        threads.emplace_back([this] { work_loop(); });
+    open.push_back(&b);
+    work.notify_all();
+    while (b.next < b.n) {
+      const std::size_t i = claim(&b);
+      lock.unlock();
+      run_index(b, i);
+      lock.lock();
+      ++b.finished;
+    }
+    b.all_finished.wait(lock, [&] { return b.finished == b.n; });
+  }
+
+  void work_loop() {
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      work.wait(lock, [&] { return stop || !open.empty(); });
+      if (open.empty()) return;  // stopping
+      Batch* b = open[cursor++ % open.size()];
+      const std::size_t i = claim(b);
+      lock.unlock();
+      run_index(*b, i);
+      lock.lock();
+      if (++b->finished == b->n) b->all_finished.notify_one();
+    }
+  }
+
+  const std::size_t workers;
+  std::mutex mu;
+  std::condition_variable work;  // an open batch, or stop
+  std::vector<Batch*> open;      // batches with unclaimed indices
+  std::size_t cursor = 0;        // round-robin position in `open`
+  bool stop = false;
+  std::vector<std::thread> threads;
+};
+
 ParallelRunner::ParallelRunner(int jobs) : jobs_(jobs) {
   if (jobs_ <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     jobs_ = hw > 0 ? static_cast<int>(hw) : 1;
   }
+  if (jobs_ > 1)
+    pool_ = std::make_unique<Pool>(static_cast<std::size_t>(jobs_ - 1));
+}
+
+ParallelRunner::~ParallelRunner() = default;
+
+void ParallelRunner::run(std::size_t n,
+                         const std::function<void(std::size_t)>& body) const {
+  if (pool_ == nullptr || n == 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  pool_->run(n, body);
 }
 
 namespace {
@@ -26,37 +123,20 @@ struct CaughtFailure {
   std::exception_ptr error;
 };
 
-// Fans tasks over `workers` threads (or runs inline for workers <= 1) and
-// hands every per-task failure to `on_failure` under a mutex. Failures
-// never cancel the sweep: remaining tasks always drain, so jobs=1 and
-// jobs=8 see the same failure set.
-void fan_out(std::size_t n, std::size_t workers,
+// Runs every task through `run` and hands each per-task failure to
+// `failures` under a mutex. Failures never cancel the sweep: remaining
+// tasks always drain, so jobs=1 and jobs=8 see the same failure set.
+template <typename Run>
+void fan_out(std::size_t n, const Run& run,
              const std::function<bool(std::size_t, CaughtFailure*)>& run_one,
              std::vector<CaughtFailure>* failures) {
   std::mutex mu;
-  auto body = [&](std::size_t i) {
+  run(n, [&](std::size_t i) {
     CaughtFailure f;
     if (run_one(i, &f)) return;
     std::lock_guard<std::mutex> lock(mu);
     failures->push_back(std::move(f));
-  };
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= n) return;
-        body(i);
-      }
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(workers - 1);
-    for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(worker);
-    worker();
-    for (auto& t : threads) t.join();
-  }
+  });
   std::sort(failures->begin(), failures->end(),
             [](const CaughtFailure& a, const CaughtFailure& b) {
               return a.index < b.index;
@@ -68,11 +148,9 @@ void fan_out(std::size_t n, std::size_t workers,
 void ParallelRunner::for_each(std::size_t n,
                               const std::function<void(std::size_t)>& fn) const {
   if (n == 0) return;
-  const std::size_t workers =
-      std::min<std::size_t>(static_cast<std::size_t>(jobs_), n);
   std::vector<CaughtFailure> failures;
   fan_out(
-      n, workers,
+      n, [this](std::size_t m, const auto& body) { run(m, body); },
       [&](std::size_t i, CaughtFailure* f) {
         try {
           fn(i);
@@ -111,12 +189,10 @@ std::vector<TaskFailure> ParallelRunner::for_each_tolerant(
     const TaskPolicy& policy) const {
   std::vector<TaskFailure> out;
   if (n == 0) return out;
-  const std::size_t workers =
-      std::min<std::size_t>(static_cast<std::size_t>(jobs_), n);
   const int attempts = std::max(0, policy.max_retries) + 1;
   std::vector<CaughtFailure> failures;
   fan_out(
-      n, workers,
+      n, [this](std::size_t m, const auto& body) { run(m, body); },
       [&](std::size_t i, CaughtFailure* f) {
         std::string reason = "unknown error";
         for (int a = 0; a < attempts; ++a) {

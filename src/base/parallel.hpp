@@ -1,10 +1,23 @@
-// parallel.hpp — worker pool for embarrassingly parallel sweeps.
+// parallel.hpp — one persistent worker pool for embarrassingly parallel
+// sweeps.
 //
 // BER sweeps, Monte-Carlo TWR iterations and ablation grids are independent
-// simulations; ParallelRunner fans them across std::threads. Results are
-// stored by task index, and all seeding happens per task (ScenarioSpec /
+// simulations; ParallelRunner fans them across a pool. Results are stored by
+// task index, and all seeding happens per task (ScenarioSpec /
 // base::Rng::fork) before execution starts, so the output is identical for
-// any job count — "--jobs=8" is purely a wall-clock knob.
+// any job count and any number of concurrent callers — "--jobs=8" is purely
+// a wall-clock knob.
+//
+// A ParallelRunner(jobs) owns jobs - 1 worker threads, started on the first
+// call with more than one task and joined by the destructor. Each for_each
+// call publishes its indices as one batch: the calling thread works through
+// its own batch, idle workers claim indices from any open batch in
+// round-robin order, and the call returns once every index of its batch has
+// finished. Several threads may call into one runner at once (the scenario
+// server runs concurrent computations on one pool), and a task may call
+// for_each on the runner that runs it: its caller always makes progress on
+// its own batch, so neither case can deadlock, and the runner never runs
+// more than jobs - 1 threads of its own whatever the number of callers.
 //
 // Lives in base/ (not runner/) so library-level sweeps like
 // uwb::run_ber_sweep can fan out without depending on the scenario layer.
@@ -12,6 +25,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,14 +53,20 @@ class ParallelRunner {
  public:
   // jobs <= 0 selects std::thread::hardware_concurrency().
   explicit ParallelRunner(int jobs = 1);
+  // Joins the workers; no call may still be running.
+  ~ParallelRunner();
+
+  ParallelRunner(const ParallelRunner&) = delete;
+  ParallelRunner& operator=(const ParallelRunner&) = delete;
 
   int jobs() const { return jobs_; }
 
   // Runs fn(0) .. fn(n-1) across the pool. Tasks must not depend on each
-  // other. Blocks until all tasks finish (failures drain, never cancel);
-  // a single failed task rethrows its original exception, multiple
-  // failures throw one std::runtime_error aggregating the count and the
-  // first few task messages.
+  // other; jobs = 1 (or n = 1) runs them inline on the calling thread.
+  // Blocks until all tasks of this call finish (failures drain, never
+  // cancel); a single failed task rethrows its original exception on the
+  // caller, multiple failures throw one std::runtime_error aggregating the
+  // count and the first few task messages.
   void for_each(std::size_t n, const std::function<void(std::size_t)>& fn) const;
 
   // Like for_each but collects return values, ordered by task index.
@@ -82,7 +102,11 @@ class ParallelRunner {
   }
 
  private:
+  struct Pool;
+  void run(std::size_t n, const std::function<void(std::size_t)>& body) const;
+
   int jobs_;
+  std::unique_ptr<Pool> pool_;  // null when jobs_ == 1
 };
 
 }  // namespace uwbams::base

@@ -7,6 +7,7 @@
 #include <mutex>
 
 #include "base/json.hpp"
+#include "base/single_flight.hpp"
 #include "core/canonical.hpp"
 #include "serve/cache.hpp"
 
@@ -28,6 +29,7 @@ struct MemoState {
   std::mutex mu;  // guards mem and stats
   std::map<std::uint64_t, detail::Erased> mem;
   Stats stats;
+  base::SingleFlight<std::uint64_t, detail::Erased> flights;
 
   MemoState() {
     if (const char* dir = std::getenv("UWBAMS_CACHE"))
@@ -56,37 +58,58 @@ detail::Erased detail::lookup(
     const std::function<Erased()>& compute,
     const std::function<std::string(const void*)>& encode) {
   MemoState& s = state();
-  {
+  const auto find = [&]() -> Erased {
     std::lock_guard<std::mutex> lock(s.mu);
     const auto it = s.mem.find(key);
-    if (it != s.mem.end()) {
-      ++s.stats.mem_hits;
-      return it->second;
+    if (it == s.mem.end()) return nullptr;
+    ++s.stats.mem_hits;
+    return it->second;
+  };
+  if (Erased hit = find()) return hit;
+  // One caller per key decodes or computes, outside the memo's lock: a
+  // characterization or a calibration takes seconds and other threads may
+  // be memoizing other keys. Callers racing on the same key wait for that
+  // caller's value and count as memory hits — they get its object.
+  const auto produce = [&]() -> Erased {
+    // A flight that ended since find() left its value in `mem`.
+    if (Erased hit = find()) return hit;
+    std::string text;
+    if (s.disk != nullptr && s.disk->get(key, &text)) {
+      try {
+        Erased decoded = decode(text);
+        std::lock_guard<std::mutex> lock(s.mu);
+        ++s.stats.disk_hits;
+        return s.mem.emplace(key, std::move(decoded)).first->second;
+      } catch (const std::exception&) {
+        // Undecodable entry: a miss; the put below overwrites it.
+      }
     }
-  }
-  // Decode, compute and encode run unlocked: a characterization or a
-  // calibration takes seconds and other threads may be memoizing other
-  // keys. Two threads racing on one key both compute; the first insert
-  // wins, so every caller returns the same object.
-  std::string text;
-  if (s.disk != nullptr && s.disk->get(key, &text)) {
-    try {
-      Erased value = decode(text);
+    {
       std::lock_guard<std::mutex> lock(s.mu);
-      ++s.stats.disk_hits;
-      return s.mem.emplace(key, std::move(value)).first->second;
-    } catch (const std::exception&) {
-      // Undecodable entry: a miss; the put below overwrites it.
+      ++s.stats.misses;
     }
-  }
-  {
+    Erased computed = compute();
+    if (s.disk != nullptr) s.disk->put(key, encode(computed.get()));
     std::lock_guard<std::mutex> lock(s.mu);
-    ++s.stats.misses;
+    return s.mem.emplace(key, std::move(computed)).first->second;
+  };
+  bool produced = false;
+  Erased value;
+  try {
+    value = s.flights.run(key, produce, &produced);
+  } catch (...) {
+    // A waiter on a failed computation missed, like its producer.
+    if (!produced) {
+      std::lock_guard<std::mutex> lock(s.mu);
+      ++s.stats.misses;
+    }
+    throw;
   }
-  Erased value = compute();
-  if (s.disk != nullptr) s.disk->put(key, encode(value.get()));
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.mem.emplace(key, std::move(value)).first->second;
+  if (!produced) {
+    std::lock_guard<std::mutex> lock(s.mu);
+    ++s.stats.mem_hits;
+  }
+  return value;
 }
 
 std::uint64_t characterize_content_key(const spice::ItdSizing& sizing,

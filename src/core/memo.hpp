@@ -54,8 +54,9 @@ Erased lookup(std::uint64_t key,
               const std::function<std::string(const void*)>& encode);
 }  // namespace detail
 
-/// The value stored under `key`, else `compute()`. Thread-safe; computes
-/// run outside the memo's lock, so distinct keys compute concurrently.
+/// The value stored under `key`, else `compute()`. Thread-safe and
+/// single-flight (base/single_flight.hpp): concurrent callers of one key
+/// share one decode or compute, while distinct keys compute concurrently.
 template <typename T, typename Compute>
 T memoize(std::uint64_t key, const Codec<T>& codec, Compute&& compute) {
   if (!enabled()) return compute();
@@ -88,7 +89,9 @@ ItdCharacterization characterization_from_json(const std::string& text);
 
 /// Process-wide memo statistics over every client.
 struct Stats {
-  std::uint64_t mem_hits = 0;   ///< served from the in-process level
+  /// Served from the in-process level, or by waiting on a concurrent
+  /// caller's computation of the same key.
+  std::uint64_t mem_hits = 0;
   std::uint64_t disk_hits = 0;  ///< decoded from the UWBAMS_CACHE store
   std::uint64_t misses = 0;     ///< computed (undecodable entries included)
   /// Always zero: channel draws are no longer memoized. Kept because the

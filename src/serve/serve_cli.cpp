@@ -42,15 +42,18 @@ void serve_usage() {
       "                    [--mem-entries=N] [--verbose]\n"
       "\n"
       "Long-lived scenario server: accepts newline-delimited JSON requests\n"
-      "(schema uwbams-serve-v1) on a unix socket, shards scenario sweeps\n"
-      "across a shared worker pool, and serves repeated requests\n"
-      "byte-identically from a content-addressed result cache.\n"
+      "(schema uwbams-serve-v1) on a unix socket, runs distinct requests\n"
+      "concurrently with their sweeps sharded across one worker pool, and\n"
+      "serves repeated requests byte-identically from a content-addressed\n"
+      "result cache.\n"
       "\n"
       "  --socket=PATH       listen here (default /tmp/uwbams_serve.sock)\n"
       "  --cache=DIR         persist results on disk (also exported as\n"
       "                      UWBAMS_CACHE for intermediate memoization);\n"
       "                      omit for a memory-only cache\n"
-      "  --jobs=N            worker pool size; 0 = hardware concurrency\n"
+      "  --jobs=N            worker pool size, and the most scenario\n"
+      "                      computations that run at once; 0 = hardware\n"
+      "                      concurrency\n"
       "  --mem-entries=N     in-memory LRU capacity (default 64)\n"
       "  --verbose           let scenario narration through to stdout\n"
       "\n"

@@ -74,29 +74,39 @@ void Server::stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
+  // shutdown() wakes the blocked accept(); close() alone may not. The fd
+  // is closed only after the accept thread has left it.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    // shutdown() wakes the blocked accept(); close() alone may not.
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<int> fds;
   {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    fds = conn_fds_;
+    // Stop reading new requests; responses already being written still go
+    // out, so shutdown drains rather than truncates. Every fd in conns_ is
+    // open while conn_mu_ is held.
+    std::unique_lock<std::mutex> lock(conn_mu_);
+    for (const auto& entry : conns_) ::shutdown(entry.first, SHUT_RD);
+    conn_cv_.wait(lock, [&] { return conns_.empty(); });
   }
-  // Stop reading new requests; responses already being written still go
-  // out, so shutdown drains rather than truncates.
-  for (int fd : fds) ::shutdown(fd, SHUT_RD);
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
+  reap();
   ::unlink(socket_path_.c_str());
+}
+
+void Server::reap() {
+  std::vector<std::thread> ended;
+  {
+    std::lock_guard<std::mutex> lock(conn_mu_);
+    ended.swap(ended_);
+  }
+  for (auto& t : ended) t.join();
+}
+
+std::size_t Server::tracked_connections() {
+  reap();
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  return conns_.size() + ended_.size();
 }
 
 void Server::accept_loop() {
@@ -104,15 +114,15 @@ void Server::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      break;  // listener closed by stop()
+      break;  // listener shut down by stop()
     }
+    reap();
     std::lock_guard<std::mutex> lock(conn_mu_);
     if (stopping_.load()) {
       ::close(fd);
       break;
     }
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
+    conns_.emplace(fd, std::thread([this, fd] { connection_loop(fd); }));
   }
 }
 
@@ -146,14 +156,19 @@ void Server::connection_loop(int fd) {
       break;
     }
   }
+  std::lock_guard<std::mutex> lock(conn_mu_);
+  if (service_.shutdown_requested()) {
+    // Stop reading on the other connections so they drain and end too.
+    for (const auto& entry : conns_)
+      if (entry.first != fd) ::shutdown(entry.first, SHUT_RD);
+  }
+  // Leave conns_ before the fd number can be reused; reap() joins us.
+  const auto self = conns_.find(fd);
+  ended_.push_back(std::move(self->second));
+  conns_.erase(self);
   ::shutdown(fd, SHUT_RDWR);
   ::close(fd);
-  if (service_.shutdown_requested()) {
-    // Unblock the accept loop so the server's main poll can reap us.
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int other : conn_fds_)
-      if (other != fd) ::shutdown(other, SHUT_RD);
-  }
+  conn_cv_.notify_all();
 }
 
 Client::Client(const std::string& socket_path) {

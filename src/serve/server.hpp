@@ -2,7 +2,8 @@
 /// @brief AF_UNIX line-framed transport for `uwbams_serve`.
 ///
 /// Server owns a listening SOCK_STREAM unix-domain socket and a small
-/// thread-per-connection accept loop; all request semantics live in the
+/// thread-per-connection accept loop (an ended connection's thread is
+/// joined at the next accept); all request semantics live in the
 /// ScenarioService it wraps (service.hpp). Framing is newline-delimited:
 /// each complete line goes to ScenarioService::handle_line and the single
 /// response line is written back. A connection whose buffered line exceeds
@@ -14,6 +15,9 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
+#include <cstddef>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -43,18 +47,28 @@ class Server {
 
   const std::string& socket_path() const { return socket_path_; }
 
+  /// Connections whose thread has not been joined yet: live ones plus
+  /// ended ones not reaped so far (this call reaps those first).
+  std::size_t tracked_connections();
+
  private:
   void accept_loop();
   void connection_loop(int fd);
+  /// Joins the threads of connections that have ended.
+  void reap();
 
   std::string socket_path_;
   ScenarioService& service_;
   int listen_fd_ = -1;
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
+  // A connection's entry leaves `conns_` before its fd is closed, so
+  // stop() never shuts down a reused fd number; its thread then waits in
+  // `ended_` for reap().
   std::mutex conn_mu_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
+  std::condition_variable conn_cv_;  // a connection ended
+  std::map<int, std::thread> conns_;
+  std::vector<std::thread> ended_;
 };
 
 /// Blocking unix-domain client: connect once, then any number of

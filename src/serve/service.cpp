@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <exception>
+#include <stdexcept>
 
 #include "base/json.hpp"
 #include "core/canonical.hpp"
@@ -137,61 +138,52 @@ std::string ScenarioService::handle_run(const Request& req) {
 
   // Coalesce duplicate in-flight requests: exactly one producer per key;
   // everyone else waits for its outcome instead of computing a twin.
-  std::shared_ptr<Inflight> fl;
-  bool producer = false;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    auto& slot = inflight_[key];
-    if (slot == nullptr) {
-      slot = std::make_shared<Inflight>();
-      producer = true;
-    }
-    fl = slot;
-  }
-
-  if (!producer) {
-    std::unique_lock<std::mutex> lock(fl->mu);
-    fl->cv.wait(lock, [&] { return fl->done; });
-    std::lock_guard<std::mutex> state_lock(state_mu_);
-    if (!fl->ok) {
-      ++stats_.errors;
-      return error_line(fl->error);
-    }
-    ++stats_.coalesced;
-    return respond("coalesced", fl->payload, elapsed());
-  }
-
-  bool ok = false;
-  std::string error;
+  bool produced = false;
   try {
-    payload = compute(req, key);
-    cache_.put(key, payload);
-    ok = true;
+    payload = inflight_.run(
+        key,
+        [&] {
+          try {
+            std::string p = compute(req, key);
+            cache_.put(key, p);
+            return p;
+          } catch (const std::exception& e) {
+            throw std::runtime_error("scenario '" + req.scenario +
+                                     "' failed: " + e.what());
+          }
+        },
+        &produced);
   } catch (const std::exception& e) {
-    error = "scenario '" + req.scenario + "' failed: " + e.what();
-  }
-  {
-    std::lock_guard<std::mutex> lock(fl->mu);
-    fl->done = true;
-    fl->ok = ok;
-    fl->payload = payload;
-    fl->error = error;
-  }
-  fl->cv.notify_all();
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    inflight_.erase(key);
+    std::lock_guard<std::mutex> lock(state_mu_);
+    ++stats_.errors;
+    return error_line(e.what());
   }
   std::lock_guard<std::mutex> lock(state_mu_);
-  if (!ok) {
-    ++stats_.errors;
-    return error_line(error);
-  }
-  return respond("miss", payload, elapsed());
+  if (!produced) ++stats_.coalesced;
+  return respond(produced ? "miss" : "coalesced", payload, elapsed());
 }
 
 std::string ScenarioService::compute(const Request& req, std::uint64_t key) {
-  std::lock_guard<std::mutex> exec_lock(exec_mu_);
+  // The admission gate: tickets in arrival order, at most pool_.jobs()
+  // bodies past it at once. Their sweeps share the pool's workers.
+  struct Admission {
+    ScenarioService& svc;
+    explicit Admission(ScenarioService& s) : svc(s) {
+      std::unique_lock<std::mutex> lock(svc.gate_mu_);
+      const std::uint64_t ticket = svc.gate_arrived_++;
+      svc.gate_cv_.wait(lock, [&] {
+        return ticket <
+               svc.gate_left_ + static_cast<std::uint64_t>(svc.pool_.jobs());
+      });
+    }
+    ~Admission() {
+      {
+        std::lock_guard<std::mutex> lock(svc.gate_mu_);
+        ++svc.gate_left_;
+      }
+      svc.gate_cv_.notify_all();
+    }
+  } admission(*this);
   const runner::Scenario* s =
       runner::ScenarioRegistry::instance().find(req.scenario);
   if (s == nullptr)

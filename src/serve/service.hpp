@@ -9,16 +9,17 @@
 ///      with the cached payload verbatim (byte-identical to the cold run);
 ///   3. coalesce: a second request for a key already being computed waits
 ///      for the in-flight computation instead of starting a twin;
-///   4. compute: run the scenario body in-process on the shared
-///      ParallelRunner with a quiet, capturing ResultSink, exactly the
-///      RunContext shape the batch CLI builds — then cache the payload
-///      (successful runs only) and respond.
+///   4. compute: pass the admission gate, then run the scenario body
+///      in-process on the shared ParallelRunner with a quiet, capturing
+///      ResultSink, exactly the RunContext shape the batch CLI builds —
+///      then cache the payload (successful runs only) and respond.
 ///
-/// Scenario bodies fan their sweeps across the shared pool themselves, so
-/// computation is serialized under one execution mutex (two concurrent
-/// bodies would just contend for the same cores); *requests* stay
-/// concurrent — cache hits and coalesced waits never block behind a
-/// running computation.
+/// Distinct keys compute concurrently: the gate admits up to pool.jobs()
+/// bodies at once, in arrival order, each on its connection's thread, and
+/// their sweeps share the pool's jobs - 1 workers (base/parallel.hpp). So
+/// a body that never fans out no longer leaves the other cores idle, and
+/// the process runs at most connections + jobs - 1 computing threads.
+/// Cache hits and coalesced waits never wait on the gate.
 ///
 /// Responses embed the cached payload bytes verbatim inside the transport
 /// envelope, so a client (or test) can extract `result` and byte-compare
@@ -27,12 +28,11 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 
 #include "base/parallel.hpp"
+#include "base/single_flight.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 
@@ -70,15 +70,6 @@ class ScenarioService {
   Stats stats() const;
 
  private:
-  struct Inflight {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    bool ok = false;
-    std::string payload;  // valid when ok
-    std::string error;    // valid when !ok
-  };
-
   std::string handle_run(const Request& req);
   /// Runs the scenario and returns the canonical payload (compact JSON).
   /// @throws std::runtime_error on a non-zero scenario status or a
@@ -91,10 +82,13 @@ class ScenarioService {
   base::ParallelRunner& pool_;
   bool verbose_;
 
-  std::mutex exec_mu_;  ///< serializes scenario bodies (see file comment)
+  // Admission gate of compute(): tickets handed out and bodies finished.
+  std::mutex gate_mu_;
+  std::condition_variable gate_cv_;
+  std::uint64_t gate_arrived_ = 0;
+  std::uint64_t gate_left_ = 0;
 
-  std::mutex inflight_mu_;
-  std::map<std::uint64_t, std::shared_ptr<Inflight>> inflight_;
+  base::SingleFlight<std::uint64_t, std::string> inflight_;  ///< coalescing
 
   mutable std::mutex state_mu_;
   std::condition_variable shutdown_cv_;

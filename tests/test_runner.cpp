@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -204,6 +205,94 @@ TEST(ParallelRunner, PropagatesTaskExceptions) {
 
 TEST(ParallelRunner, ZeroJobsMeansHardwareConcurrency) {
   EXPECT_GE(ParallelRunner(0).jobs(), 1);
+}
+
+TEST(ParallelRunner, ConcurrentCallersEachSeeEveryIndexOnce) {
+  const ParallelRunner pool(3);
+  constexpr int kCallers = 4, kCalls = 20;
+  constexpr std::size_t kTasks = 37;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c)
+    callers.emplace_back([&] {
+      for (int k = 0; k < kCalls; ++k) {
+        std::vector<std::atomic<int>> hits(kTasks);
+        pool.for_each(kTasks, [&](std::size_t i) { ++hits[i]; });
+        for (const auto& h : hits)
+          if (h.load() != 1) ++bad;
+      }
+    });
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
+TEST(ParallelRunner, NestedForEachOnTheSameRunnerCompletes) {
+  const ParallelRunner pool(3);
+  std::vector<std::atomic<int>> hits(6 * 5);
+  pool.for_each(6, [&](std::size_t outer) {
+    pool.for_each(5, [&](std::size_t inner) { ++hits[outer * 5 + inner]; });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+namespace {
+thread_local bool t_sighted = false;  // first sighting of this thread
+}  // namespace
+
+TEST(ParallelRunner, NeverRunsMoreThanJobsMinusOneThreadsOfItsOwn) {
+  // Thread ids may be reused after a join, so count threads by a
+  // thread_local first-sighting flag instead.
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> threads{0};
+  const ParallelRunner pool(4);
+  for (int call = 0; call < 100; ++call)
+    pool.for_each(8, [&](std::size_t) {
+      if (std::this_thread::get_id() != caller && !t_sighted) {
+        t_sighted = true;
+        ++threads;
+      }
+      // Long enough that the caller cannot drain the batch alone.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+  EXPECT_LE(threads.load(), pool.jobs() - 1);
+}
+
+TEST(ParallelRunner, OneJobRunsOnTheCaller) {
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  ParallelRunner(1).for_each(16, [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) ++elsewhere;
+  });
+  EXPECT_EQ(elsewhere.load(), 0);
+}
+
+TEST(ParallelRunner, OneCallsExceptionNeverReachesAnotherCaller) {
+  const ParallelRunner pool(3);
+  std::atomic<int> wrong{0};
+  std::thread failing([&] {
+    for (int k = 0; k < 50; ++k) {
+      try {
+        pool.for_each(9, [](std::size_t i) {
+          if (i == 4) throw std::runtime_error("failing caller");
+        });
+        ++wrong;  // its own failure must reach it
+      } catch (const std::runtime_error& e) {
+        if (std::string(e.what()) != "failing caller") ++wrong;
+      }
+    }
+  });
+  std::thread clean([&] {
+    for (int k = 0; k < 50; ++k) {
+      try {
+        pool.for_each(9, [](std::size_t) {});
+      } catch (...) {
+        ++wrong;
+      }
+    }
+  });
+  failing.join();
+  clean.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 // --- fork seeding --------------------------------------------------------

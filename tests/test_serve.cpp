@@ -8,7 +8,8 @@
 //     this file runs under ASan+UBSan in CI;
 //   * ScenarioService end to end (in-process, no sockets): cold compute,
 //     warm byte-identical cache hit, two cold computes of a shipped
-//     scenario byte-identical, failed runs not cached, control ops;
+//     scenario byte-identical, failed runs not cached, control ops,
+//     distinct keys computing concurrently up to the pool's job count;
 //   * the memo clients (core/memo.hpp): characterization and surrogate
 //     calibration return bit-identical results on a repeat and key on
 //     every knob. The memo's process-wide switches are read once per
@@ -74,6 +75,61 @@ REGISTER_SCENARIO(serve_unit_probe, "test", "serve unit-test probe") {
 REGISTER_SCENARIO(serve_unit_fails, "test", "serve unit-test failing probe") {
   ctx.sink.raw_artifact("partial.csv", "should never be served\n");
   return 3;
+}
+
+// Concurrency probes. serve_unit_rendezvous succeeds only when a second
+// body starts while it runs (it waits up to 2 s for one); serve_unit_gate
+// records how many bodies ever ran at once.
+std::atomic<int> g_rendezvous_arrived{0};
+std::atomic<int> g_gate_running{0};
+std::atomic<int> g_gate_peak{0};
+
+REGISTER_SCENARIO(serve_unit_rendezvous, "test", "serve rendezvous probe") {
+  ++g_rendezvous_arrived;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (g_rendezvous_arrived.load() < 2 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ctx.sink.raw_artifact("seed.txt", std::to_string(ctx.seed) + "\n");
+  return g_rendezvous_arrived.load() >= 2 ? 0 : 1;
+}
+
+REGISTER_SCENARIO(serve_unit_gate, "test", "serve admission-gate probe") {
+  const int now = ++g_gate_running;
+  int peak = g_gate_peak.load();
+  while (now > peak && !g_gate_peak.compare_exchange_weak(peak, now)) {
+  }
+  // Hold the slot long enough for every request of the test to arrive.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (g_gate_running.load() < 3 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  --g_gate_running;
+  ctx.sink.raw_artifact("seed.txt", std::to_string(ctx.seed) + "\n");
+  return 0;
+}
+
+std::string run_line(const char* scenario, int seed) {
+  return std::string("{\"schema\":\"uwbams-serve-v1\",\"scenario\":\"") +
+         scenario + "\",\"scale\":\"fast\",\"seed\":" +
+         std::to_string(seed) + "}";
+}
+
+// Sends one request per seed, all at once, and returns the responses.
+std::vector<std::string> handle_concurrently(serve::ScenarioService& svc,
+                                             const char* scenario,
+                                             int requests) {
+  std::vector<std::string> responses(static_cast<std::size_t>(requests));
+  std::vector<std::thread> threads;
+  for (int i = 0; i < requests; ++i)
+    threads.emplace_back([&, i] {
+      responses[static_cast<std::size_t>(i)] =
+          svc.handle_line(run_line(scenario, i + 1));
+    });
+  for (auto& t : threads) t.join();
+  return responses;
 }
 
 std::string result_of(const std::string& response) {
@@ -395,6 +451,33 @@ TEST(Service, FailedRunsAreErrorsAndNotCached) {
   EXPECT_EQ(svc.stats().cache_hits, 0u);
 }
 
+TEST(Service, DistinctKeysComputeConcurrently) {
+  g_rendezvous_arrived = 0;
+  serve::ResultCache cache;
+  base::ParallelRunner pool(2);
+  serve::ScenarioService svc(cache, pool);
+  for (const std::string& response :
+       handle_concurrently(svc, "serve_unit_rendezvous", 2)) {
+    const base::JsonValue doc = base::parse_json(response);
+    EXPECT_EQ(doc.at("status").as_string(), "ok") << response;
+  }
+  EXPECT_EQ(svc.stats().computations, 2u);
+}
+
+TEST(Service, GateAdmitsAtMostJobsComputations) {
+  g_gate_running = 0;
+  g_gate_peak = 0;
+  serve::ResultCache cache;
+  base::ParallelRunner pool(2);
+  serve::ScenarioService svc(cache, pool);
+  for (const std::string& response :
+       handle_concurrently(svc, "serve_unit_gate", 3))
+    EXPECT_EQ(base::parse_json(response).at("status").as_string(), "ok")
+        << response;
+  EXPECT_EQ(g_gate_peak.load(), 2);
+  EXPECT_EQ(svc.stats().computations, 3u);
+}
+
 TEST(Service, ControlOps) {
   serve::ResultCache cache;
   base::ParallelRunner pool(1);
@@ -503,6 +586,8 @@ TEST(Memo, ConcurrentLookupsAgreeAndAreCounted) {
       [](const std::string& v) { return v; },
       [](const std::string& text) { return text; }};
   constexpr int kThreads = 8, kCalls = 50, kKeys = 10;
+  // Each compute is slow enough that callers of its key overlap with it;
+  // the memo is single-flight, so every key computes exactly once.
   std::atomic<int> computes{0};
   std::atomic<int> wrong{0};
   std::vector<std::thread> threads;
@@ -517,6 +602,7 @@ TEST(Memo, ConcurrentLookupsAgreeAndAreCounted) {
             core::canonical::content_key("uwbams-memo-unit/1", fields), codec,
             [&] {
               ++computes;
+              std::this_thread::sleep_for(std::chrono::milliseconds(20));
               return want;
             });
         if (got != want) ++wrong;
@@ -529,7 +615,7 @@ TEST(Memo, ConcurrentLookupsAgreeAndAreCounted) {
   EXPECT_EQ(st.mem_hits + st.misses,
             static_cast<std::uint64_t>(kThreads * kCalls));
   EXPECT_EQ(st.misses, static_cast<std::uint64_t>(computes.load()));
-  EXPECT_GE(computes.load(), kKeys);
+  EXPECT_EQ(computes.load(), kKeys);
   core::memo::reset_for_tests();
 }
 

@@ -137,6 +137,26 @@ TEST(Server, OversizedRequestIsRefusedNotBuffered) {
             "ok");
 }
 
+TEST(Server, EndedConnectionsAreReaped) {
+  ServerFixture fx("reap");
+  for (int i = 0; i < 50; ++i) {
+    serve::Client client(fx.server.socket_path());
+    EXPECT_EQ(base::parse_json(client.roundtrip(
+                                   "{\"schema\":\"uwbams-serve-v1\","
+                                   "\"op\":\"ping\"}"))
+                  .at("status")
+                  .as_string(),
+              "ok");
+  }
+  // The last connection's thread ends asynchronously after the close.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (fx.server.tracked_connections() != 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(fx.server.tracked_connections(), 0u);
+}
+
 TEST(Server, ConcurrentDuplicatesCoalesceToOneComputation) {
   ServerFixture fx("coalesce");
   constexpr int kClients = 8;
