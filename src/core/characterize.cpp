@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "base/faults.hpp"
 #include "base/units.hpp"
-#include "spice/op.hpp"
 #include "spice/transient.hpp"
 
 namespace uwbams::core {
@@ -110,18 +110,27 @@ ItdCharacterization characterize_itd(const spice::ItdSizing& sizing,
   // Fault site: a simulated solver non-convergence, keyed by the mismatch
   // seed so the same trial fails for any --jobs value.
   base::faults::check("spice.nonconverge", sizing.variation.mismatch_seed);
+  // One testbench and one transient session serve every measurement: the
+  // session's t = 0 solution is the cell's operating point, and each
+  // DC-range/slew integration restores the state after one shared dump.
   spice::Circuit ckt;
   const auto tb = spice::build_itd_testbench(ckt, sizing);
-  const auto op = spice::solve_op(ckt);
-  if (!op.converged)
+  spice::TransientOptions topts = options.transient;
+  topts.dt = options.dt;
+  std::optional<spice::TransientSession> sim;
+  try {
+    sim.emplace(ckt, topts);
+  } catch (const std::runtime_error&) {
+    // The constructor's only runtime_error is a non-converged OP.
     throw std::runtime_error("characterize_itd: OP did not converge");
+  }
   const auto freqs = spice::log_frequency_grid(
       options.f_start, options.f_stop, options.points_per_decade);
   spice::AcOptions aco;
   aco.reuse_factorization = options.reuse_ac_factorization;
   aco.workspace = options.ac_workspace;
-  ch.sweep =
-      spice::run_ac(ckt, op.x, freqs, tb.t.out_intp, tb.t.out_intm, aco);
+  ch.sweep = spice::run_ac(ckt, sim->solution(), freqs, tb.t.out_intp,
+                           tb.t.out_intm, aco);
 
   std::vector<double> f, m;
   for (std::size_t i = 0; i < ch.sweep.points.size(); ++i) {
@@ -141,31 +150,38 @@ ItdCharacterization characterize_itd(const spice::ItdSizing& sizing,
   }
 
   // --- DC input linear range and slew rate from transient integrations.
-  auto integrated = [&sizing, &options](double vin_diff) {
-    spice::Circuit c2;
-    const auto tb2 = spice::build_itd_testbench(c2, sizing);
-    spice::TransientOptions topts = options.transient;
-    topts.dt = options.dt;
-    spice::TransientSession sim(c2, topts);
-    sim.source("vctrlp").set_override(sizing.vdd);
-    sim.source("vctrlm").set_override(sizing.vdd);  // dump first
-    sim.run_until(30e-9);
-    sim.source("vctrlm").set_override(0.0);
-    sim.source("vinp").set_override(0.9 + 0.5 * vin_diff);
-    sim.source("vinm").set_override(0.9 - 0.5 * vin_diff);
-    sim.run_until(80e-9);  // 50 ns integration
-    return std::abs(sim.v(tb2.t.out_intp) - sim.v(tb2.t.out_intm));
+  if (!options.measure_linear_range && !options.measure_slew) return ch;
+  spice::VoltageSource& vctrlm = sim->source("vctrlm");
+  spice::VoltageSource& vinp = sim->source("vinp");
+  spice::VoltageSource& vinm = sim->source("vinm");
+  sim->source("vctrlp").set_override(sizing.vdd);
+  vctrlm.set_override(sizing.vdd);  // dump first
+  sim->run_until(30e-9);
+  const spice::TransientSession::Checkpoint dumped = sim->checkpoint();
+  auto integrated = [&](double vin_diff) {
+    sim->restore(dumped);
+    vctrlm.set_override(0.0);
+    vinp.set_override(0.9 + 0.5 * vin_diff);
+    vinm.set_override(0.9 - 0.5 * vin_diff);
+    sim->run_until(80e-9);  // 50 ns integration
+    return std::abs(sim->v(tb.t.out_intp) - sim->v(tb.t.out_intm));
   };
 
   if (options.measure_linear_range) {
     const double v_small = 10e-3;
     const double ref_slope = integrated(v_small) / v_small;
-    ch.input_linear_range = 0.5;  // upper bound if never compressed
-    for (double vin = 20e-3; vin <= 0.5; vin *= 1.25) {
-      const double slope = integrated(vin) / vin;
-      if (slope < 0.9 * ref_slope) {
-        ch.input_linear_range = vin;
-        break;
+    if (!(std::isfinite(ref_slope) && ref_slope > 0.0)) {
+      // A cell that does not integrate has no slope to compress: the
+      // measurement failed, which is a zero linear range.
+      ch.input_linear_range = 0.0;
+    } else {
+      ch.input_linear_range = 0.5;  // upper bound if never compressed
+      for (double vin = 20e-3; vin <= 0.5; vin *= 1.25) {
+        const double slope = integrated(vin) / vin;
+        if (slope < 0.9 * ref_slope) {
+          ch.input_linear_range = vin;
+          break;
+        }
       }
     }
   }

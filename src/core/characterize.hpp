@@ -39,7 +39,8 @@ struct ItdCharacterization {
   TwoPoleFit ac;                 ///< fitted gain/poles
   double unity_gain_freq = 0.0;  ///< |H| = 0 dB crossing [Hz]
   double input_linear_range = 0.0;  ///< DC input range before >10% gain
-                                    ///< compression [V]
+                                    ///< compression [V]; 0 when the 10 mV
+                                    ///< reference does not integrate
   double slew_rate = 0.0;           ///< output ramp limit [V/s]
   spice::AcSweep sweep;             ///< raw AC data (for Fig. 4 overlays)
 };
@@ -54,8 +55,11 @@ struct CharacterizeOptions {
   double f_stop = 50e9;          ///< AC sweep stop [Hz]
   int points_per_decade = 12;    ///< AC grid density
   double dt = 0.2e-9;            ///< transient step of the DC-range/slew runs
-  bool measure_linear_range = true;  ///< ~12 transient integrations
-  bool measure_slew = true;          ///< 1 transient integration
+  /// 1-16 integrations of 50 ns (a 10 mV reference, then probes from
+  /// 20 mV up to the 0.5 V bound until the slope compresses; 11 on the
+  /// nominal cell), each restored from one shared post-dump checkpoint.
+  bool measure_linear_range = true;
+  bool measure_slew = true;  ///< 1 integration of 50 ns
   /// Engine profile of the DC-range/slew transient runs (`dt` above still
   /// wins). Defaults keep the historical bit-exact behavior; stat_equiv
   /// callers pass spice::apply_stat_equiv_profile-configured options.

@@ -109,6 +109,15 @@ class Device {
     (void)dt;
   }
 
+  /// Appends every value a later transient step reads from this device
+  /// (companion history, a source override) to `out`. load_state() reads
+  /// them back in the same order: TransientSession::checkpoint()/restore()
+  /// use the pair. The default is stateless.
+  virtual void save_state(std::vector<double>& out) const { (void)out; }
+  /// Restores what save_state() appended, reading from `in`; returns the
+  /// position just past this device's values.
+  virtual const double* load_state(const double* in) { return in; }
+
   /// Netlist element card for this device (see netlist_writer.hpp).
   virtual std::string card(const Circuit& circuit) const;
 

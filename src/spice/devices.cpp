@@ -90,6 +90,17 @@ void Capacitor::commit(const std::vector<double>& x, double, double dt) {
   v_prev_ = v;
 }
 
+void Capacitor::save_state(std::vector<double>& out) const {
+  out.push_back(v_prev_);
+  out.push_back(i_prev_);
+}
+
+const double* Capacitor::load_state(const double* in) {
+  v_prev_ = in[0];
+  i_prev_ = in[1];
+  return in + 2;
+}
+
 // ---------------------------------------------------------------- Inductor
 
 Inductor::Inductor(std::string name, int n1, int n2, double henries)
@@ -154,6 +165,17 @@ void Inductor::init_state(const std::vector<double>& op) {
 void Inductor::commit(const std::vector<double>& x, double, double) {
   i_prev_ = v_at(x, branch_base());
   v_prev_ = v_at(x, a_) - v_at(x, b_);
+}
+
+void Inductor::save_state(std::vector<double>& out) const {
+  out.push_back(i_prev_);
+  out.push_back(v_prev_);
+}
+
+const double* Inductor::load_state(const double* in) {
+  i_prev_ = in[0];
+  v_prev_ = in[1];
+  return in + 2;
 }
 
 // ---------------------------------------------------------------- Waveform
@@ -247,6 +269,17 @@ VoltageSource::VoltageSource(std::string name, int n1, int n2, Waveform wf,
 
 double VoltageSource::value(double t) const {
   return has_override_ ? override_ : wf_.value(t);
+}
+
+void VoltageSource::save_state(std::vector<double>& out) const {
+  out.push_back(override_);
+  out.push_back(has_override_ ? 1.0 : 0.0);
+}
+
+const double* VoltageSource::load_state(const double* in) {
+  override_ = in[0];
+  has_override_ = in[1] != 0.0;
+  return in + 2;
 }
 
 double VoltageSource::current_in(const std::vector<double>& x) const {

@@ -54,6 +54,8 @@ class Capacitor final : public Device {
                 double omega) const override;
   void init_state(const std::vector<double>& op) override;
   void commit(const std::vector<double>& x, double t, double dt) override;
+  void save_state(std::vector<double>& out) const override;
+  const double* load_state(const double* in) override;
   /// Capacitance [F].
   double capacitance() const { return farads_; }
   std::string card(const Circuit& circuit) const override;
@@ -80,6 +82,8 @@ class Inductor final : public Device {
                 double omega) const override;
   void init_state(const std::vector<double>& op) override;
   void commit(const std::vector<double>& x, double t, double dt) override;
+  void save_state(std::vector<double>& out) const override;
+  const double* load_state(const double* in) override;
   std::string card(const Circuit& circuit) const override;
 
  private:
@@ -143,6 +147,10 @@ class VoltageSource final : public Device {
   }
   /// Re-engages the waveform after an override.
   void clear_override() { has_override_ = false; }
+  /// The override (value and whether it is engaged) is this source's
+  /// checkpointed state.
+  void save_state(std::vector<double>& out) const override;
+  const double* load_state(const double* in) override;
   /// Effective drive value at time t [s] (override wins over waveform).
   double value(double t) const;
   /// Branch current in a solution vector (positive current flows from the +

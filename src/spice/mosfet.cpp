@@ -297,6 +297,23 @@ void Mosfet::commit(const std::vector<double>& x, double, double) {
   }
 }
 
+void Mosfet::save_state(std::vector<double>& out) const {
+  for (const CapState& cs : caps_) {
+    out.push_back(cs.c);
+    out.push_back(cs.v_prev);
+  }
+  out.push_back(static_cast<double>(last_region_));
+}
+
+const double* Mosfet::load_state(const double* in) {
+  for (CapState& cs : caps_) {
+    cs.c = *in++;
+    cs.v_prev = *in++;
+  }
+  last_region_ = static_cast<MosEval::Region>(static_cast<int>(*in++));
+  return in;
+}
+
 void Mosfet::stamp_ac(Mna<std::complex<double>>& mna,
                       const std::vector<double>& op, double omega) const {
   using cd = std::complex<double>;

@@ -45,6 +45,10 @@ class Mosfet final : public Device {
                 double omega) const override;
   void init_state(const std::vector<double>& op) override;
   void commit(const std::vector<double>& x, double t, double dt) override;
+  /// Checkpointed state: the five cap states and the last evaluated
+  /// region (read by the fused commit).
+  void save_state(std::vector<double>& out) const override;
+  const double* load_state(const double* in) override;
 
   const MosModel& model() const { return model_; }
   double width() const { return width_; }

@@ -65,6 +65,39 @@ VoltageSource& TransientSession::source(const std::string& name) {
   return *vs;
 }
 
+TransientSession::Checkpoint TransientSession::checkpoint() const {
+  Checkpoint cp;
+  cp.owner_ = this;
+  cp.x_ = x_;
+  cp.t_ = t_;
+  cp.lu_ = lu_;
+  cp.lu_primed_ = lu_primed_;
+  cp.linear_lu_fresh_ = linear_lu_fresh_;
+  cp.linear_lu_dt_ = linear_lu_dt_;
+  cp.linear_lu_method_ = linear_lu_method_;
+  cp.jac_dt_ = jac_dt_;
+  cp.jac_method_ = jac_method_;
+  for (const auto& dev : circuit_->devices()) dev->save_state(cp.devices_);
+  return cp;
+}
+
+void TransientSession::restore(const Checkpoint& cp) {
+  if (cp.owner_ != this)
+    throw std::invalid_argument(
+        "TransientSession::restore: checkpoint of another session");
+  x_ = cp.x_;
+  t_ = cp.t_;
+  lu_ = cp.lu_;
+  lu_primed_ = cp.lu_primed_;
+  linear_lu_fresh_ = cp.linear_lu_fresh_;
+  linear_lu_dt_ = cp.linear_lu_dt_;
+  linear_lu_method_ = cp.linear_lu_method_;
+  jac_dt_ = cp.jac_dt_;
+  jac_method_ = cp.jac_method_;
+  const double* in = cp.devices_.data();
+  for (const auto& dev : circuit_->devices()) in = dev->load_state(in);
+}
+
 void TransientSession::record_failure(std::string reason, double pivot_ratio) {
   stats_.last_failure = std::move(reason);
   stats_.last_failure_pivot_ratio = pivot_ratio;

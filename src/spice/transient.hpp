@@ -21,6 +21,16 @@
 /// the caller's dt, rescued by backward Euler and then by four BE
 /// sub-steps when Newton fails. Each step's Newton iteration starts from
 /// the last committed solution.
+///
+/// **Checkpoints.** checkpoint() copies everything a later step() reads:
+/// the committed solution and time, the LU factorization with its pivot
+/// order, the cached-Jacobian and linear-path flags, and every device's
+/// history (Device::save_state). restore() puts that state back, so the
+/// steps after a restore are bit-identical to the steps that followed the
+/// checkpoint the first time, and to those of a fresh session driven to
+/// the same point. Source overrides are device state and are restored
+/// too. stats() is not: it counts work actually done and keeps
+/// accumulating across a restore.
 #pragma once
 
 #include <cstdint>
@@ -175,6 +185,29 @@ class TransientSession {
 
   /// Engine statistics accumulated so far.
   const TransientStats& stats() const { return stats_; }
+
+  /// An exact snapshot of the session's stepping state (see the file
+  /// comment). Opaque; it restores only into the session that took it.
+  class Checkpoint {
+   private:
+    friend class TransientSession;
+    const TransientSession* owner_ = nullptr;
+    std::vector<double> x_;
+    double t_ = 0.0;
+    linalg::LuFactor<double> lu_;
+    bool lu_primed_ = false;
+    bool linear_lu_fresh_ = false;
+    double linear_lu_dt_ = -1.0;
+    Integrator linear_lu_method_ = Integrator::kTrapezoidal;
+    double jac_dt_ = -1.0;
+    Integrator jac_method_ = Integrator::kTrapezoidal;
+    std::vector<double> devices_;  // Device::save_state, in device order
+  };
+  /// Snapshot of the current state.
+  Checkpoint checkpoint() const;
+  /// Returns the session to `cp`'s state; stats() keeps accumulating.
+  /// @throws std::invalid_argument if another session took `cp`.
+  void restore(const Checkpoint& cp);
 
  private:
   bool newton_step(double dt, Integrator method, std::vector<double>& x);

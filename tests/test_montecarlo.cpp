@@ -3,6 +3,9 @@
 //   * corner-card round-trip and shift directions per corner,
 //   * mismatch determinism (seed+name -> card, independent of build order),
 //   * a nominal-corner trial reproduces characterize_itd() bit for bit,
+//   * characterize_itd's shared, checkpointed session reproduces the
+//     fresh-session-per-integration procedure bit for bit,
+//   * a cell that does not integrate reports a zero linear range,
 //   * run_monte_carlo is bit-identical across worker counts and re-runs,
 //   * yield judging and artifact rendering.
 #include <gtest/gtest.h>
@@ -15,10 +18,13 @@
 #include <vector>
 
 #include "base/parallel.hpp"
+#include "base/random.hpp"
 #include "base/stats.hpp"
 #include "core/characterize.hpp"
 #include "core/montecarlo.hpp"
 #include "spice/model_card.hpp"
+#include "spice/op.hpp"
+#include "spice/transient.hpp"
 
 namespace {
 
@@ -316,6 +322,190 @@ TEST(MonteCarlo, ArtifactsRender) {
   const std::string json = core::summary_to_json(r);
   EXPECT_NE(json.find("\"yield\""), std::string::npos);
   EXPECT_NE(json.find("\"input_linear_range_v\""), std::string::npos);
+}
+
+// ------------------------------------------ characterization exactness
+
+// The characterization procedure before its integrations shared one
+// checkpointed session: one circuit for the OP and the AC sweep, then, per
+// integration, a fresh circuit and session that solves the OP again and
+// re-runs the 30 ns dump. Kept here as the reference the shared session
+// must reproduce bit for bit. Counts the integrations it runs.
+core::ItdCharacterization characterize_fresh_sessions(
+    const spice::ItdSizing& sizing, const core::CharacterizeOptions& options,
+    int* integrations) {
+  core::ItdCharacterization ch;
+  spice::Circuit ckt;
+  const auto tb = spice::build_itd_testbench(ckt, sizing);
+  const auto op = spice::solve_op(ckt);
+  if (!op.converged) throw std::runtime_error("reference: OP did not converge");
+  const auto freqs = spice::log_frequency_grid(
+      options.f_start, options.f_stop, options.points_per_decade);
+  spice::AcOptions aco;
+  aco.reuse_factorization = options.reuse_ac_factorization;
+  ch.sweep =
+      spice::run_ac(ckt, op.x, freqs, tb.t.out_intp, tb.t.out_intm, aco);
+  std::vector<double> f, m;
+  for (std::size_t i = 0; i < ch.sweep.points.size(); ++i) {
+    f.push_back(ch.sweep.points[i].freq);
+    m.push_back(ch.sweep.mag_db(i));
+  }
+  ch.ac = core::fit_two_pole(f, m);
+  for (std::size_t i = 1; i < m.size(); ++i) {
+    if (m[i - 1] >= 0.0 && m[i] < 0.0) {
+      const double frac = m[i - 1] / (m[i - 1] - m[i]);
+      ch.unity_gain_freq = f[i - 1] * std::pow(f[i] / f[i - 1], frac);
+      break;
+    }
+  }
+
+  *integrations = 0;
+  auto integrated = [&](double vin_diff) {
+    ++*integrations;
+    spice::Circuit c2;
+    const auto tb2 = spice::build_itd_testbench(c2, sizing);
+    spice::TransientOptions topts = options.transient;
+    topts.dt = options.dt;
+    spice::TransientSession sim(c2, topts);
+    sim.source("vctrlp").set_override(sizing.vdd);
+    sim.source("vctrlm").set_override(sizing.vdd);  // dump first
+    sim.run_until(30e-9);
+    sim.source("vctrlm").set_override(0.0);
+    sim.source("vinp").set_override(0.9 + 0.5 * vin_diff);
+    sim.source("vinm").set_override(0.9 - 0.5 * vin_diff);
+    sim.run_until(80e-9);  // 50 ns integration
+    return std::abs(sim.v(tb2.t.out_intp) - sim.v(tb2.t.out_intm));
+  };
+  if (options.measure_linear_range) {
+    const double v_small = 10e-3;
+    const double ref_slope = integrated(v_small) / v_small;
+    ch.input_linear_range = 0.5;
+    for (double vin = 20e-3; vin <= 0.5; vin *= 1.25) {
+      if (integrated(vin) / vin < 0.9 * ref_slope) {
+        ch.input_linear_range = vin;
+        break;
+      }
+    }
+  }
+  if (options.measure_slew) ch.slew_rate = integrated(0.6) / 50e-9;
+  return ch;
+}
+
+// The sizing trial `index` of a corner-sampled, mismatched Monte-Carlo run
+// with base seed `seed` characterizes (the derivation of run_mc_trial).
+spice::ItdSizing mc_trial_sizing(std::uint64_t seed, int index) {
+  const std::uint64_t trial_seed =
+      base::derive_seed(seed, static_cast<std::uint64_t>(index));
+  base::Rng pick(base::derive_seed(trial_seed, 1));
+  const auto corners = core::standard_corners(1.8);
+  const core::PvtCorner corner = corners[static_cast<std::size_t>(
+      pick.uniform_int(0, static_cast<int>(corners.size()) - 1))];
+  spice::ItdSizing sizing;
+  sizing.vdd = corner.vdd;
+  sizing.variation.corner = corner.process;
+  sizing.variation.temp_c = corner.temp_c;
+  sizing.variation.sigma_scale = 1.0;
+  sizing.variation.mismatch_seed = base::derive_seed(trial_seed, 2);
+  return sizing;
+}
+
+// A PVT corner without mismatch, as corner_ber characterizes it.
+spice::ItdSizing corner_sizing(spice::Corner process) {
+  for (const auto& c : core::standard_corners(1.8)) {
+    if (c.process != process) continue;
+    spice::ItdSizing sizing;
+    sizing.vdd = c.vdd;
+    sizing.variation.corner = c.process;
+    sizing.variation.temp_c = c.temp_c;
+    sizing.variation.sigma_scale = 0.0;
+    return sizing;
+  }
+  throw std::logic_error("no such standard corner");
+}
+
+// Every ItdCharacterization field equals the fresh-session reference, and
+// the reference ran `want_integrations` integrations.
+void expect_matches_fresh_sessions(const spice::ItdSizing& sizing,
+                                   const core::CharacterizeOptions& options,
+                                   int want_integrations) {
+  int integrations = 0;
+  const auto want =
+      characterize_fresh_sessions(sizing, options, &integrations);
+  const auto got = core::characterize_itd(sizing, options);
+  EXPECT_EQ(integrations, want_integrations);
+  EXPECT_EQ(got.ac.dc_gain_db, want.ac.dc_gain_db);
+  EXPECT_EQ(got.ac.f_pole1, want.ac.f_pole1);
+  EXPECT_EQ(got.ac.f_pole2, want.ac.f_pole2);
+  EXPECT_EQ(got.ac.rms_error_db, want.ac.rms_error_db);
+  EXPECT_EQ(got.unity_gain_freq, want.unity_gain_freq);
+  EXPECT_EQ(got.input_linear_range, want.input_linear_range);
+  EXPECT_EQ(got.slew_rate, want.slew_rate);
+  ASSERT_EQ(got.sweep.points.size(), want.sweep.points.size());
+  for (std::size_t i = 0; i < got.sweep.points.size(); ++i) {
+    EXPECT_EQ(got.sweep.points[i].freq, want.sweep.points[i].freq);
+    EXPECT_EQ(got.sweep.points[i].value, want.sweep.points[i].value);
+  }
+}
+
+TEST(CharacterizeExactness, NominalCell) {
+  // Linear range 0.149 V: ten probes + reference + slew.
+  expect_matches_fresh_sessions({}, {}, 12);
+}
+
+// Trials of yield_report at fast scale, seed 1.
+TEST(CharacterizeExactness, MismatchTrialStoppingAtFirstProbe) {
+  // Trial 1 (FS): compresses at the first probe, 20 mV.
+  expect_matches_fresh_sessions(mc_trial_sizing(1, 1), {}, 3);
+}
+
+TEST(CharacterizeExactness, MismatchTrialThatNeverCompresses) {
+  // Trial 5 (FF): all fifteen probes up to the 0.5 V bound.
+  expect_matches_fresh_sessions(mc_trial_sizing(1, 5), {}, 17);
+}
+
+TEST(CharacterizeExactness, MismatchTrialCompressingLate) {
+  // Trial 7 (TT): compresses at 0.291 V, the thirteenth probe.
+  expect_matches_fresh_sessions(mc_trial_sizing(1, 7), {}, 15);
+}
+
+TEST(CharacterizeExactness, FastAndSlowCorners) {
+  expect_matches_fresh_sessions(corner_sizing(spice::Corner::kFF), {}, 12);
+  expect_matches_fresh_sessions(corner_sizing(spice::Corner::kSS), {}, 12);
+}
+
+TEST(CharacterizeExactness, StatEquivProfile) {
+  core::CharacterizeOptions options;
+  spice::apply_stat_equiv_profile(&options.transient);
+  options.reuse_ac_factorization = true;
+  expect_matches_fresh_sessions({}, options, 12);
+}
+
+// A cell that does not integrate: unpowered and without input followers,
+// so its 10 mV reference integrates to exactly 0 V. The range measurement
+// has failed; it must read as a zero range, not as linear up to the 0.5 V
+// bound the compression search starts from.
+TEST(CharacterizeDeadCell, ReportsZeroLinearRange) {
+  spice::ItdSizing dead;
+  dead.vdd = 0.0;
+  dead.w_in = 0.0;
+  int integrations = 0;
+  EXPECT_EQ(characterize_fresh_sessions(dead, {}, &integrations)
+                .input_linear_range,
+            0.5);  // the unguarded search never sees a compressed slope
+  const auto ch = core::characterize_itd(dead);
+  EXPECT_EQ(ch.input_linear_range, 0.0);
+  EXPECT_EQ(ch.slew_rate, 0.0);
+
+  core::McConfig cfg;
+  cfg.sizing.w_in = 0.0;
+  cfg.corner.vdd = 0.0;
+  cfg.sigma_scale = 0.0;
+  core::YieldCriteria criteria;
+  criteria.min_input_range = 0.01;
+  const auto trial = core::run_mc_trial(cfg, 0, criteria);
+  ASSERT_TRUE(trial.converged) << trial.failure_reason;
+  EXPECT_EQ(trial.input_linear_range, 0.0);
+  EXPECT_TRUE(trial.violations & core::kViolInputRange);
 }
 
 }  // namespace

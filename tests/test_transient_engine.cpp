@@ -1,9 +1,10 @@
 // Tests for the fast-path transient engine: structure-locked MNA workspace
 // and device footprints, factorization reuse (pivot reuse + chord
-// iterations), the linear single-factorization path, and the step() input
-// checks and Newton failure diagnostics.
+// iterations), the linear single-factorization path, exact session
+// checkpoints, and the step() input checks and Newton failure diagnostics.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 #include <random>
 #include <stdexcept>
@@ -22,6 +23,7 @@ namespace {
 using namespace uwbams;
 using spice::Capacitor;
 using spice::Circuit;
+using spice::Inductor;
 using spice::Resistor;
 using spice::TransientOptions;
 using spice::TransientSession;
@@ -379,6 +381,196 @@ TEST(Diagnostics, ItdSessionStatsAreCoherent) {
   EXPECT_LT(st.factorizations, 20u);
   EXPECT_GT(st.newton_iterations, 0u);
   EXPECT_EQ(st.singular_failures, 0u);
+}
+
+// ---------------------------------------------------------------- Checkpoint
+
+using Trace = std::vector<std::vector<double>>;
+
+// The committed solution after every step until t_stop.
+Trace record_until(TransientSession& s, double t_stop) {
+  Trace out;
+  while (s.time() < t_stop - 0.5 * s.options().dt) {
+    s.step();
+    out.push_back(s.solution());
+  }
+  return out;
+}
+
+// Bitwise, step by step: == would let -0.0 pass for +0.0.
+void expect_bitwise_equal(const Trace& got, const Trace& want,
+                          const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].size(), want[i].size()) << what;
+    ASSERT_EQ(std::memcmp(got[i].data(), want[i].data(),
+                          got[i].size() * sizeof(double)),
+              0)
+        << what << ": first difference at step " << i;
+  }
+}
+
+// The characterization's use of a checkpoint on the I&D testbench: dump
+// once, checkpoint, then drive A, restore, drive B, restore, drive A again.
+// Every pass must match, step for step and bit for bit, a fresh session
+// that ran the same dump and drive. Pass B also opens the integration
+// switches (vctrlp) and pass A leaves them alone, so only a restored
+// source override closes them again.
+void expect_itd_checkpoint_exact(TransientOptions opts) {
+  opts.dt = 0.2e-9;
+  const double a = 0.05, b = 0.6;
+  auto dump = [](TransientSession& s) {
+    s.source("vctrlp").set_override(1.8);
+    s.source("vctrlm").set_override(1.8);
+    s.run_until(30e-9);
+  };
+  auto drive = [](TransientSession& s, double vdiff, bool open_switches) {
+    if (open_switches) s.source("vctrlp").set_override(0.0);
+    s.source("vctrlm").set_override(0.0);
+    s.source("vinp").set_override(0.9 + 0.5 * vdiff);
+    s.source("vinm").set_override(0.9 - 0.5 * vdiff);
+    return record_until(s, 80e-9);
+  };
+  auto fresh = [&](double vdiff, bool open_switches) {
+    Circuit ckt;
+    (void)spice::build_itd_testbench(ckt, {});
+    TransientSession s(ckt, opts);
+    dump(s);
+    return drive(s, vdiff, open_switches);
+  };
+
+  Circuit ckt;
+  (void)spice::build_itd_testbench(ckt, {});
+  TransientSession s(ckt, opts);
+  dump(s);
+  const auto cp = s.checkpoint();
+  const double t_cp = s.time();
+  const Trace a1 = drive(s, a, false);
+  s.restore(cp);
+  EXPECT_EQ(s.time(), t_cp);
+  const Trace b1 = drive(s, b, true);
+  s.restore(cp);
+  const Trace a2 = drive(s, a, false);
+
+  expect_bitwise_equal(a1, fresh(a, false), "A vs fresh dump + A");
+  expect_bitwise_equal(b1, fresh(b, true), "B vs fresh dump + B");
+  expect_bitwise_equal(a2, a1, "A after B vs first A");
+  ASSERT_FALSE(a1.empty());
+  EXPECT_NE(a1.back(), b1.back());  // the drives really differ
+  // Stats count the work done, restores included: one dump + three drives.
+  EXPECT_EQ(s.stats().steps, 150u + 3u * 250u);
+}
+
+TEST(Checkpoint, ItdRestoreIsExactDefaultEngine) {
+  expect_itd_checkpoint_exact({});
+}
+
+TEST(Checkpoint, ItdRestoreIsExactStatEquivProfile) {
+  TransientOptions opts;
+  spice::apply_stat_equiv_profile(&opts);
+  expect_itd_checkpoint_exact(opts);
+}
+
+// A series RLC driven through a source override: the linear path (one
+// cached factorization per (dt, method)) and the inductor's history.
+TEST(Checkpoint, RlcRestoreIsExact) {
+  auto make_rlc = [] {
+    Circuit ckt;
+    const int in = ckt.node("in"), mid = ckt.node("mid"),
+              out = ckt.node("out");
+    ckt.add<VoltageSource>("vin", in, 0, Waveform::dc(0.0));
+    ckt.add<Resistor>("r1", in, mid, 50.0);
+    ckt.add<Inductor>("l1", mid, out, 10e-9);
+    ckt.add<Capacitor>("c1", out, 0, 1e-12);
+    return ckt;
+  };
+  auto warm = [](TransientSession& s) {
+    s.source("vin").set_override(1.0);
+    s.run_until(2e-9);
+  };
+  auto drive = [](TransientSession& s, double v) {
+    s.source("vin").set_override(v);
+    return record_until(s, 6e-9);
+  };
+  TransientOptions opts;
+  opts.dt = 0.02e-9;
+  auto fresh = [&](double v) {
+    Circuit ckt = make_rlc();
+    TransientSession s(ckt, opts);
+    warm(s);
+    return drive(s, v);
+  };
+
+  Circuit ckt = make_rlc();
+  TransientSession s(ckt, opts);
+  ASSERT_TRUE(ckt.linear());
+  warm(s);
+  const auto cp = s.checkpoint();
+  const Trace a1 = drive(s, 0.3);
+  s.restore(cp);
+  const Trace b1 = drive(s, -0.7);
+  s.restore(cp);
+  const Trace a2 = drive(s, 0.3);
+  expect_bitwise_equal(a1, fresh(0.3), "A vs fresh warm-up + A");
+  expect_bitwise_equal(b1, fresh(-0.7), "B vs fresh warm-up + B");
+  expect_bitwise_equal(a2, a1, "A after B vs first A");
+  EXPECT_NE(a1.back(), b1.back());
+}
+
+// Under the fused commit a MOSFET's next Meyer caps come from the region
+// of its last evaluation, so that region is part of its saved state.
+TEST(Checkpoint, MosfetStateCarriesTheFusedCommitRegion) {
+  Circuit ckt = make_mos_amp();
+  ckt.prepare();
+  std::vector<double> x_off(ckt.unknown_count(), 0.0);
+  std::vector<double> x_sat = x_off;
+  x_sat[static_cast<std::size_t>(ckt.node_index(ckt.find_node("vdd")))] = 1.8;
+  x_sat[static_cast<std::size_t>(ckt.node_index(ckt.find_node("d")))] = 1.2;
+  x_sat[static_cast<std::size_t>(ckt.node_index(ckt.find_node("g")))] = 0.9;
+  std::vector<double> f(ckt.unknown_count(), 0.0);
+  spice::StampArgs args;
+  args.mode = spice::AnalysisMode::kTransient;
+  args.dt = 0.05e-9;
+  args.inv_dt = 1.0 / args.dt;
+
+  // State after init at x_off, one evaluation at `eval`, commit at x_off.
+  auto committed = [&](const std::vector<double>& eval) {
+    Circuit c = make_mos_amp();
+    c.prepare();
+    auto& m = dynamic_cast<spice::Mosfet&>(*c.find_device("m1"));
+    m.set_fused_commit(true);
+    m.init_state(x_off);
+    args.x = &eval;
+    m.residual(f, args);
+    m.commit(x_off, args.dt, args.dt);
+    std::vector<double> state;
+    m.save_state(state);
+    return state;
+  };
+  const auto want = committed(x_sat);
+  ASSERT_NE(want, committed(x_off));  // the region decides the caps
+
+  auto& m = dynamic_cast<spice::Mosfet&>(*ckt.find_device("m1"));
+  m.set_fused_commit(true);
+  m.init_state(x_off);
+  args.x = &x_sat;
+  m.residual(f, args);
+  std::vector<double> saved;
+  m.save_state(saved);
+  args.x = &x_off;
+  m.residual(f, args);  // a later evaluation moves the region on...
+  EXPECT_EQ(m.load_state(saved.data()), saved.data() + saved.size());
+  m.commit(x_off, args.dt, args.dt);  // ...and the restore brings it back
+  std::vector<double> got;
+  m.save_state(got);
+  EXPECT_EQ(got, want);
+}
+
+TEST(Checkpoint, RestoreRejectsAnotherSessionsCheckpoint) {
+  Circuit c1 = make_rc(), c2 = make_rc();
+  TransientSession s1(c1, {}), s2(c2, {});
+  const auto cp = s1.checkpoint();
+  EXPECT_THROW(s2.restore(cp), std::invalid_argument);
 }
 
 }  // namespace
