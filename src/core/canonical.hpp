@@ -193,7 +193,6 @@ void visit_fields(spice::TransientOptions& c, V&& v) {
   v("chord_tol_scale", c.chord_tol_scale);
   v("iabstol", c.iabstol);
   v("cosim_decimation", c.cosim_decimation);
-  v("packed_solve", c.packed_solve);
   v("fused_commit", c.fused_commit);
 }
 

@@ -35,6 +35,11 @@ TwoPoleFit fit_two_pole(std::span<const double> freqs_hz,
                         std::span<const double> mag_db) {
   if (freqs_hz.size() != mag_db.size() || freqs_hz.size() < 8)
     throw std::invalid_argument("fit_two_pole: need >= 8 matched samples");
+  // A -inf or NaN magnitude (a dead cell's AC response) would pass as its
+  // own plateau and -3 dB corner.
+  for (const double m : mag_db)
+    if (!std::isfinite(m))
+      throw std::invalid_argument("fit_two_pole: non-finite magnitude");
 
   // Initial estimates: K from the low-frequency plateau, f1 from the -3 dB
   // crossing, f2 from the excess roll-off at the top of the sweep.

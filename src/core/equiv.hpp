@@ -17,8 +17,9 @@
 ///    BER counts, relative/absolute tolerance for fitted scalars, a
 ///    two-sample Kolmogorov-Smirnov test for Monte-Carlo populations. This
 ///    tier is what lets the engine enable optimizations that flip marginal
-///    bits (chord_tol_scale=1.0, packed L/U solves, fused device commits,
-///    cross-trial AC reuse) without weakening verification to "looks fine".
+///    bits (chord_tol_scale=1.0, fused device commits, multirate
+///    co-simulation, cross-trial AC reuse) without weakening verification
+///    to "looks fine".
 ///
 /// The artifact format (`golden_stats.json`) is schema-versioned and
 /// byte-stable (sorted keys, %.17g numbers — same discipline as

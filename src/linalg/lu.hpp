@@ -1,23 +1,30 @@
 /// @file lu.hpp
 /// @brief Partial-pivoting LU factorization with pivot-order reuse.
 ///
-/// Two usage styles share one class:
+/// `LuFactor` holds one factorization and one **elimination schedule**, in
+/// pivot (permuted-row) order: for each pivot k the rows below it that it
+/// eliminates and the columns right of it that carry U, and for each row
+/// the columns left of its diagonal that carry L. Every numeric pass after
+/// the pivot search runs over that schedule:
 ///
-///  1. **One-shot** (the original API): `LuFactor f(a); x = f.solve(b);`
-///     factors an owned copy with full partial pivoting.
-///  2. **Workspace** (the transient fast path): a default-constructed
-///     `LuFactor` is kept alive across Newton iterations and time steps.
-///     `factor()` performs a fresh partial-pivoting factorization into
-///     preallocated storage; `refactor()` re-eliminates a *numerically
-///     different matrix with the same structure* reusing the stored pivot
-///     order (no pivot search, no row swaps, optionally skipping structural
-///     zeros), and reports degradation of the frozen pivot sequence so the
-///     caller can fall back to a fresh `factor()`. `solve_in_place()`
-///     substitutes without allocating.
+///  - `factor()` factors with full partial pivoting into reused storage,
+///    then records the schedule for the chosen pivot order: from a
+///    `SparsityPattern` plus the fill-in elimination creates when one is
+///    given, else the dense schedule (every row below k, every column
+///    right of k or left of r).
+///  - `refactor()` re-eliminates a *numerically different matrix with the
+///    same structure* on the frozen pivot order (no pivot search, no row
+///    swaps, nothing outside the schedule), and reports degradation of
+///    the frozen pivots so the caller can fall back to a fresh `factor()`.
+///  - `solve_in_place()` (no allocation) and `solve()` (local buffers)
+///    share one forward/back substitution over the schedule.
 ///
-/// Circuit Jacobians change smoothly between Newton iterations, so a pivot
-/// order chosen once stays numerically acceptable for long stretches — the
-/// same observation behind KLU-style refactorization in production SPICE.
+/// The dense schedule visits the same rows and columns in the same order,
+/// with the same zero-multiplier skip, as plain dense loops, so dense and
+/// sparse callers share the code without a bit of difference. Circuit
+/// Jacobians change smoothly between Newton iterations, so a pivot order
+/// chosen once stays numerically acceptable for long stretches — the
+/// KLU-style refactorization of production SPICE.
 #pragma once
 
 #include <complex>
@@ -52,12 +59,6 @@ class SparsityPattern {
   }
   /// Marks every entry (dense fallback for devices without a footprint).
   void fill() { set_.assign(set_.size(), 1); }
-  /// Number of structural nonzeros.
-  std::size_t nnz() const {
-    std::size_t k = 0;
-    for (auto v : set_) k += v;
-    return k;
-  }
 
  private:
   std::size_t n_ = 0;
@@ -71,25 +72,25 @@ class LuFactor {
   /// Empty workspace; call factor() before solving.
   LuFactor() = default;
 
-  /// One-shot: factors `a` (owned copy) with full partial pivoting.
-  /// @throws std::runtime_error if the matrix is singular to working
-  ///         precision; std::invalid_argument if it is not square.
-  explicit LuFactor(Matrix<T> a);
-
   /// Fresh factorization with full partial pivoting. Reuses internal
   /// storage when the size is unchanged (no allocation on the hot path).
-  /// When `pattern` is non-null, a symbolic elimination (pattern + fill-in,
-  /// in the chosen pivot order) is cached so later refactor()/solve calls
-  /// can skip structural zeros.
-  /// @throws std::runtime_error on a singular matrix.
+  /// When `pattern` is non-null and of matching size, the schedule is its
+  /// symbolic elimination (pattern + fill-in, in the chosen pivot order),
+  /// so later refactor()/solve calls skip structural zeros; otherwise it
+  /// is the dense schedule.
+  /// @throws std::invalid_argument if `a` is not square;
+  ///         std::runtime_error if it is singular to working precision.
+  ///         No valid factorization is then held, and a pattern's schedule
+  ///         is dropped, so refactor() refuses until the next successful
+  ///         factor().
   void factor(const Matrix<T>& a, const SparsityPattern* pattern = nullptr);
 
-  /// Re-factorizes `a` reusing the pivot order (and, when available, the
-  /// symbolic pattern) of the last successful factor(). Returns false —
-  /// leaving the factorization **invalid** — when the frozen pivot sequence
-  /// has degraded: a pivot falls below 1e-3 (the classic SPICE PIVREL) times
-  /// the largest candidate in its column, or below an absolute floor. The
-  /// caller then falls back to factor(), which re-selects pivots.
+  /// Re-factorizes `a` reusing the pivot order and schedule of the last
+  /// successful factor(). Returns false — leaving the factorization
+  /// **invalid** — when the frozen pivot sequence has degraded: a pivot
+  /// falls below 1e-3 (the classic SPICE PIVREL) times the largest
+  /// candidate in its column, or below an absolute floor. The caller then
+  /// falls back to factor(), which re-selects pivots.
   bool refactor(const Matrix<T>& a);
 
   /// True when a factorization is held and solves are valid.
@@ -112,23 +113,12 @@ class LuFactor {
   /// convergence diagnostics and refactor-degradation reporting.
   double pivot_ratio() const { return pivot_ratio_; }
 
-  /// Opt-in packed-value solve path: after each symbolic factor()/refactor()
-  /// the L and U nonzeros are copied into contiguous arrays aligned with the
-  /// symbolic column indices, and solve_in_place() streams them sequentially
-  /// instead of gathering from matrix rows. Accumulation order is unchanged,
-  /// but the extra packing pass only pays for itself when each factorization
-  /// serves several solves (the chord-iteration regime), so it is off by
-  /// default and enabled by the stat_equiv engine profile.
-  void set_packed_solve(bool on) {
-    packed_solve_ = on;
-    packed_valid_ = false;
-  }
-
  private:
   void factorize_loaded();
   void build_symbolic(const SparsityPattern& pattern);
-  void load_permuted(const Matrix<T>& a);
-  void pack_values();
+  void build_dense();
+  bool holds_dense_schedule(std::size_t n) const;
+  void substitute(const std::vector<T>& b, T* x) const;
 
   Matrix<T> lu_;
   std::vector<std::size_t> perm_;
@@ -136,9 +126,9 @@ class LuFactor {
   double pivot_ratio_ = 1.0;
   bool valid_ = false;
 
-  // Symbolic elimination structure in pivot (permuted-row) order, flat CSR
-  // style. Empty when factoring densely.
-  bool has_symbolic_ = false;
+  // The elimination schedule in pivot (permuted-row) order, flat CSR style.
+  // elim_rows_off_ is empty while no schedule is held. The dense schedule
+  // is kept across factor() calls without a pattern.
   std::vector<std::uint32_t> elim_rows_;        // rows r>k with a nonzero in col k
   std::vector<std::uint32_t> elim_rows_off_;    // per-k offsets into elim_rows_
   std::vector<std::uint32_t> elim_cols_;        // cols c>k nonzero in pivot row k
@@ -146,22 +136,8 @@ class LuFactor {
   std::vector<std::uint32_t> lower_cols_;       // cols c<r nonzero in row r (L part)
   std::vector<std::uint32_t> lower_cols_off_;   // per-row offsets into lower_cols_
 
-  // Packed-value solve path (set_packed_solve): L and U nonzero values in
-  // lower_cols_/elim_cols_ order, refreshed per factorization.
-  bool packed_solve_ = false;
-  bool packed_valid_ = false;
-  std::vector<T> lower_vals_;
-  std::vector<T> upper_vals_;
-
   mutable std::vector<T> scratch_;  // permuted RHS for solve_in_place
 };
-
-/// One-shot convenience: solve A x = b.
-/// @throws std::runtime_error if `a` is singular.
-template <typename T>
-std::vector<T> solve(Matrix<T> a, const std::vector<T>& b) {
-  return LuFactor<T>(std::move(a)).solve(b);
-}
 
 extern template class LuFactor<double>;
 extern template class LuFactor<std::complex<double>>;

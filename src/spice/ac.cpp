@@ -27,13 +27,17 @@ AcSweep run_ac(Circuit& circuit, const std::vector<double>& op,
   const int ip = circuit.node_index(probe_p);
   const int im = circuit.node_index(probe_m);
 
-  // Pivot-order reuse across the grid (and, with an external workspace,
-  // across structurally identical sweeps): the complex MNA matrix changes
-  // smoothly with omega, so the frozen order stays acceptable for long
-  // stretches, exactly as in the transient fast path.
+  // One workspace serves every grid point. With reuse_factorization it
+  // keeps the pivot order across the grid (and, with an external
+  // workspace, across structurally identical sweeps): the complex MNA
+  // matrix changes smoothly with omega, so the frozen order stays
+  // acceptable for long stretches, exactly as in the transient fast path.
+  // Without it every point is a fresh factorization.
   linalg::LuFactor<std::complex<double>> local;
   linalg::LuFactor<std::complex<double>>* lu =
-      options.workspace != nullptr ? options.workspace : &local;
+      options.reuse_factorization && options.workspace != nullptr
+          ? options.workspace
+          : &local;
 
   AcSweep sweep;
   sweep.points.reserve(freqs.size());
@@ -42,15 +46,11 @@ AcSweep run_ac(Circuit& circuit, const std::vector<double>& op,
     const double omega = 2.0 * units::pi * f;
     mna.clear();
     for (const auto& dev : circuit.devices()) dev->stamp_ac(mna, op, omega);
-    std::vector<std::complex<double>> x;
-    if (options.reuse_factorization) {
-      if (lu->size() != n || !lu->valid() || !lu->refactor(mna.matrix()))
-        lu->factor(mna.matrix());
-      x = mna.rhs();
-      lu->solve_in_place(x);
-    } else {
-      x = linalg::solve(mna.matrix(), mna.rhs());
-    }
+    if (!options.reuse_factorization || lu->size() != n || !lu->valid() ||
+        !lu->refactor(mna.matrix()))
+      lu->factor(mna.matrix());
+    std::vector<std::complex<double>> x = mna.rhs();
+    lu->solve_in_place(x);
     std::complex<double> vp =
         ip >= 0 ? x[static_cast<std::size_t>(ip)] : std::complex<double>{};
     std::complex<double> vm =

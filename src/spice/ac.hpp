@@ -38,7 +38,7 @@ struct AcOptions {
   /// factorization per point, falling back to factor() when the frozen
   /// pivot sequence degrades. Same linear systems, different elimination
   /// rounding — reserved for stat_equiv runs; the default keeps the
-  /// historical one-shot path bit-identical.
+  /// historical fresh-factorization results bit-identical.
   bool reuse_factorization = false;
   /// Optional external workspace for `reuse_factorization`: the pivot
   /// order then also survives across run_ac calls on structurally

@@ -16,6 +16,8 @@ bool newton_solve(Circuit& ckt, std::vector<double>& x, double gmin,
                   double source_scale, const OpOptions& opts, int& iters_out) {
   const std::size_t n = ckt.unknown_count();
   Mna<double> mna(n);
+  linalg::LuFactor<double> lu;  // one workspace for every iteration
+  std::vector<double> x_new;
   StampArgs args;
   args.mode = AnalysisMode::kOp;
   args.gmin = gmin;
@@ -25,13 +27,14 @@ bool newton_solve(Circuit& ckt, std::vector<double>& x, double gmin,
   for (int it = 0; it < opts.max_iterations; ++it) {
     mna.clear();
     for (const auto& dev : ckt.devices()) dev->stamp(mna, args);
-    std::vector<double> x_new;
     try {
-      x_new = linalg::solve(mna.matrix(), mna.rhs());
+      lu.factor(mna.matrix());
     } catch (const std::runtime_error&) {
       iters_out = it + 1;
       return false;  // singular at this homotopy point
     }
+    x_new = mna.rhs();
+    lu.solve_in_place(x_new);
 
     // Damped update + convergence check.
     double max_delta = 0.0;
@@ -55,12 +58,6 @@ bool newton_solve(Circuit& ckt, std::vector<double>& x, double gmin,
   return false;
 }
 
-bool has_nonlinear(const Circuit& ckt) {
-  for (const auto& d : ckt.devices())
-    if (d->nonlinear()) return true;
-  return false;
-}
-
 }  // namespace
 
 OpResult solve_op(Circuit& circuit, const OpOptions& options) {
@@ -70,10 +67,6 @@ OpResult solve_op(Circuit& circuit, const OpOptions& options) {
   if (!options.initial_guess.empty() &&
       options.initial_guess.size() == res.x.size())
     res.x = options.initial_guess;
-
-  // Linear circuits: one Newton iteration is exact.
-  OpOptions opts = options;
-  if (!has_nonlinear(circuit)) opts.max_iterations = std::max(2, 2);
 
   int iters = 0;
   if (newton_solve(circuit, res.x, options.gmin, 1.0, options, iters)) {

@@ -41,7 +41,6 @@ TransientSession::TransientSession(Circuit& circuit, TransientOptions options)
                            dynamic_cast<const Vccs*>(d);
     if (!stateless) stateful_.push_back(dev.get());
   }
-  lu_.set_packed_solve(opts_.packed_solve);
   x_work_ = x_;
   x_new_ = x_;
 }
@@ -103,6 +102,37 @@ void TransientSession::record_failure(std::string reason, double pivot_ratio) {
   stats_.last_failure_pivot_ratio = pivot_ratio;
 }
 
+// Factorizes the assembled mna_ matrix: a refactor on the frozen pivot
+// order when allowed and primed, else (or when that degrades) a fresh
+// partial-pivoting factor with the stamp pattern's schedule. Counts the
+// work. On a singular matrix it counts and records the failure of Newton
+// iteration `newton_iteration` at time t (0: the linear path's one solve)
+// and returns false with lu_ unprimed.
+bool TransientSession::factorize(double t, int newton_iteration) {
+  if (opts_.reuse_factorization && lu_primed_ && lu_.refactor(mna_.matrix())) {
+    ++stats_.refactorizations;
+    return true;
+  }
+  try {
+    lu_.factor(mna_.matrix(), &pattern_->sparsity());
+  } catch (const std::runtime_error& e) {
+    ++stats_.singular_failures;
+    record_failure(
+        newton_iteration == 0
+            ? "singular matrix in linear step at t=" + std::to_string(t) +
+                  ": " + e.what()
+            : "singular matrix at t=" + std::to_string(t) +
+                  " (newton iteration " + std::to_string(newton_iteration) +
+                  "): " + e.what(),
+        lu_.pivot_ratio());
+    lu_primed_ = false;
+    return false;
+  }
+  ++stats_.factorizations;
+  lu_primed_ = true;
+  return true;
+}
+
 bool TransientSession::newton_step(double dt, Integrator method,
                                    std::vector<double>& x) {
   const std::size_t n = circuit_->unknown_count();
@@ -129,30 +159,13 @@ bool TransientSession::newton_step(double dt, Integrator method,
       // first (cheap, no pivot search; the BE rescues and sub-steps change
       // (dt, method)) and fall back to a fresh partial-pivoting
       // factorization when it degrades.
-      bool factored = false;
-      if (opts_.reuse_factorization && lu_primed_) {
-        if (lu_.refactor(mna_.matrix())) {
-          ++stats_.refactorizations;
-          factored = true;
-        }
-      }
-      if (!factored) {
-        try {
-          lu_.factor(mna_.matrix(), &pattern_->sparsity());
-        } catch (const std::runtime_error& e) {
-          ++stats_.singular_failures;
-          record_failure("singular matrix in linear step at t=" +
-                             std::to_string(args.t) + ": " + e.what(),
-                         lu_.pivot_ratio());
-          linear_lu_fresh_ = false;
-          return false;
-        }
-        ++stats_.factorizations;
+      if (!factorize(args.t, 0)) {
+        linear_lu_fresh_ = false;
+        return false;
       }
       linear_lu_fresh_ = true;
       linear_lu_dt_ = dt;
       linear_lu_method_ = method;
-      lu_primed_ = true;
     }
     x = mna_.rhs();
     lu_.solve_in_place(x);
@@ -182,33 +195,7 @@ bool TransientSession::newton_step(double dt, Integrator method,
       mna_.reset();
       for (const Device* dev : others_) dev->stamp(mna_, args);
       for (const Mosfet* m : mosfets_) m->Mosfet::stamp(mna_, args);
-      bool factored = false;
-      if (opts_.reuse_factorization && lu_primed_) {
-        if (lu_.refactor(mna_.matrix())) {
-          ++stats_.refactorizations;
-          factored = true;
-        }
-      }
-      if (!factored) {
-        // The symbolic analysis only pays off when the factorization will
-        // be reused; a pure per-iteration engine factors densely.
-        const linalg::SparsityPattern* sym =
-            (opts_.reuse_factorization || chord) ? &pattern_->sparsity()
-                                                 : nullptr;
-        try {
-          lu_.factor(mna_.matrix(), sym);
-        } catch (const std::runtime_error& e) {
-          ++stats_.singular_failures;
-          record_failure("singular matrix at t=" + std::to_string(args.t) +
-                             " (newton iteration " + std::to_string(it + 1) +
-                             "): " + e.what(),
-                         lu_.pivot_ratio());
-          lu_primed_ = false;
-          return false;
-        }
-        ++stats_.factorizations;
-        lu_primed_ = true;
-      }
+      if (!factorize(args.t, it + 1)) return false;
       jac_dt_ = dt;
       jac_method_ = method;
       x_new_ = mna_.rhs();

@@ -114,10 +114,6 @@ struct TransientOptions {
   /// bit_exact behavior). Consumed by the co-simulation wrapper, not the
   /// transient engine itself.
   int cosim_decimation = 1;
-  /// Pack L/U values contiguously after each factorization so chord solves
-  /// stream them sequentially (LuFactor::set_packed_solve). Identical
-  /// arithmetic; pays off when each factorization serves several solves.
-  bool packed_solve = false;
   /// Mosfet::commit reuses the region recorded by the last device
   /// evaluation instead of recomputing it from the final iterate — can
   /// freeze the neighboring region's Meyer caps for a device landing
@@ -128,15 +124,15 @@ struct TransientOptions {
 
 /// The engine profile of the `stat_equiv` exactness tier: chord acceptance
 /// at the plain Newton tolerance (the linear-convergence safety margin the
-/// bit_exact default buys costs ~20% extra iterations), packed L/U solves
-/// and fused device commits. Centralized here so every stat_equiv caller
-/// (scenarios, tests, benches) means the same engine.
+/// bit_exact default buys costs ~20% extra iterations), residual early
+/// acceptance with relaxed tolerances, multirate co-simulation and fused
+/// device commits. Centralized here so every stat_equiv caller (scenarios,
+/// tests, benches) means the same engine.
 inline void apply_stat_equiv_profile(TransientOptions* opts) {
   opts->chord_tol_scale = 1.0;
   opts->iabstol = 1e-9;
   opts->vabstol = 1e-5;
   opts->cosim_decimation = 5;
-  opts->packed_solve = true;
   opts->fused_commit = true;
 }
 
@@ -211,6 +207,7 @@ class TransientSession {
 
  private:
   bool newton_step(double dt, Integrator method, std::vector<double>& x);
+  bool factorize(double t, int newton_iteration);
   void accept(double dt);
   void record_failure(std::string reason, double pivot_ratio);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/characterize.hpp"
@@ -59,6 +60,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TwoPoleFit, RejectsBadInput) {
   std::vector<double> f{1, 2, 3}, m{0, 0, 0};
   EXPECT_THROW(core::fit_two_pole(f, m), std::invalid_argument);
+  // An all -inf dB response (zero gain) has no plateau and no corner.
+  auto [freqs, dead] = synth_response(21.0, 0.886e6, 5.895e9);
+  dead.assign(dead.size(), -std::numeric_limits<double>::infinity());
+  EXPECT_THROW(core::fit_two_pole(freqs, dead), std::invalid_argument);
 }
 
 TEST(Characterize, ItdMatchesPaperBallpark) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstring>
 #include <random>
 
 #include "base/random.hpp"
@@ -14,6 +15,14 @@ using namespace uwbams;
 using linalg::ComplexMatrix;
 using linalg::LuFactor;
 using linalg::RealMatrix;
+
+// A fresh partial-pivoting factorization and one solve.
+template <typename T>
+std::vector<T> solve(const linalg::Matrix<T>& a, const std::vector<T>& b) {
+  LuFactor<T> lu;
+  lu.factor(a);
+  return lu.solve(b);
+}
 
 TEST(Matrix, BasicOps) {
   RealMatrix m(2, 3);
@@ -40,7 +49,7 @@ TEST(Lu, Solves2x2) {
   a(0, 1) = 1;
   a(1, 0) = 1;
   a(1, 1) = 3;
-  const auto x = linalg::solve(a, {5.0, 10.0});
+  const auto x = solve(a, {5.0, 10.0});
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
@@ -51,7 +60,7 @@ TEST(Lu, PivotingHandlesZeroDiagonal) {
   a(0, 1) = 1;
   a(1, 0) = 1;
   a(1, 1) = 0;
-  const auto x = linalg::solve(a, {2.0, 3.0});
+  const auto x = solve(a, {2.0, 3.0});
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
@@ -62,12 +71,12 @@ TEST(Lu, SingularThrows) {
   a(0, 1) = 2;
   a(1, 0) = 2;
   a(1, 1) = 4;
-  EXPECT_THROW(LuFactor<double>{a}, std::runtime_error);
+  EXPECT_THROW(LuFactor<double>().factor(a), std::runtime_error);
 }
 
 TEST(Lu, NonSquareThrows) {
   RealMatrix a(2, 3);
-  EXPECT_THROW(LuFactor<double>{a}, std::invalid_argument);
+  EXPECT_THROW(LuFactor<double>().factor(a), std::invalid_argument);
 }
 
 TEST(Lu, ReusableFactorMultipleRhs) {
@@ -79,7 +88,8 @@ TEST(Lu, ReusableFactorMultipleRhs) {
   a(1, 2) = 1;
   a(2, 1) = 1;
   a(2, 2) = 2;
-  LuFactor<double> lu(a);
+  LuFactor<double> lu;
+  lu.factor(a);
   for (const auto& b :
        {std::vector<double>{1, 0, 0}, std::vector<double>{0, 1, 0}}) {
     const auto x = lu.solve(b);
@@ -95,7 +105,7 @@ TEST(Lu, ComplexSolve) {
   a(0, 1) = cd{0, 0};
   a(1, 0) = cd{0, 0};
   a(1, 1) = cd{0, 2};
-  const auto x = linalg::solve(a, std::vector<cd>{cd{2, 0}, cd{0, 4}});
+  const auto x = solve(a, std::vector<cd>{cd{2, 0}, cd{0, 4}});
   EXPECT_NEAR(std::abs(x[0] - cd{1, -1}), 0.0, 1e-12);
   EXPECT_NEAR(std::abs(x[1] - cd{2, 0}), 0.0, 1e-12);
 }
@@ -122,7 +132,7 @@ TEST_P(LuRandomSystem, ResidualIsTiny) {
   std::vector<double> x_true(static_cast<std::size_t>(n));
   for (auto& v : x_true) v = rng.uniform(-10.0, 10.0);
   const auto b = a.multiply(x_true);
-  const auto x = linalg::solve(a, b);
+  const auto x = solve(a, b);
   for (int i = 0; i < n; ++i)
     EXPECT_NEAR(x[static_cast<std::size_t>(i)], x_true[static_cast<std::size_t>(i)],
                 1e-8);
@@ -153,7 +163,7 @@ TEST_P(LuRandomComplex, ResidualIsTiny) {
   std::vector<cd> x_true(static_cast<std::size_t>(n));
   for (auto& v : x_true) v = cd{rng.uniform(-5, 5), rng.uniform(-5, 5)};
   const auto b = a.multiply(x_true);
-  const auto x = linalg::solve(a, b);
+  const auto x = solve(a, b);
   for (int i = 0; i < n; ++i)
     EXPECT_NEAR(std::abs(x[static_cast<std::size_t>(i)] -
                          x_true[static_cast<std::size_t>(i)]),
@@ -199,7 +209,45 @@ TEST(LuWorkspace, SolveInPlaceMatchesSolve) {
   const auto x1 = lu.solve(b);
   auto x2 = b;
   lu.solve_in_place(x2);
-  for (std::size_t i = 0; i < b.size(); ++i) EXPECT_DOUBLE_EQ(x1[i], x2[i]);
+  EXPECT_EQ(std::memcmp(x1.data(), x2.data(), b.size() * sizeof(double)), 0);
+}
+
+// A dense schedule differs from a pattern's symbolic one only by entries
+// that stay exactly zero, so factor, refactor and solve give the same bits
+// with and without the pattern. One workspace each serves every size: the
+// dense one keeps its schedule across same-size factor() calls and
+// rebuilds it when the size changes.
+TEST(LuWorkspace, PatternAndDenseSchedulesAgreeBitwise) {
+  base::Rng rng(2024);
+  LuFactor<double> sparse;
+  LuFactor<double> dense;
+  for (int trial = 0; trial < 10; ++trial) {
+    linalg::SparsityPattern pat;
+    const int n = 6 + 3 * (trial / 2);
+    const auto a0 = random_sparse(rng, n, 0.3, &pat);
+    sparse.factor(a0, &pat);
+    dense.factor(a0);
+    for (int rep = 0; rep < 3; ++rep) {
+      auto a = a0;
+      for (int r = 0; r < n; ++r)
+        for (int c = 0; c < n; ++c) {
+          auto& v = a(static_cast<std::size_t>(r), static_cast<std::size_t>(c));
+          if (v != 0.0) v *= 1.0 + 0.05 * rng.uniform(-1.0, 1.0);
+        }
+      ASSERT_TRUE(sparse.refactor(a));
+      ASSERT_TRUE(dense.refactor(a));
+      EXPECT_EQ(sparse.pivot_ratio(), dense.pivot_ratio());
+      std::vector<double> b(static_cast<std::size_t>(n));
+      for (auto& v : b) v = rng.uniform(-2.0, 2.0);
+      auto xs = b;
+      auto xd = b;
+      sparse.solve_in_place(xs);
+      dense.solve_in_place(xd);
+      EXPECT_EQ(std::memcmp(xs.data(), xd.data(), b.size() * sizeof(double)),
+                0)
+          << "n=" << n << " rep=" << rep;
+    }
+  }
 }
 
 // The acceptance bar from the issue: reused-pivot refactor solutions agree
@@ -228,7 +276,7 @@ TEST(LuWorkspace, RefactorMatchesFreshFactorTo1em10) {
       std::vector<double> b(static_cast<std::size_t>(n));
       for (auto& v : b) v = rng.uniform(-2.0, 2.0);
       const auto x_reused = lu.solve(b);
-      const auto x_fresh = linalg::solve(a, b);
+      const auto x_fresh = solve(a, b);
       for (std::size_t i = 0; i < b.size(); ++i)
         EXPECT_NEAR(x_reused[i], x_fresh[i], 1e-10);
     }

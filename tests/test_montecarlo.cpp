@@ -480,32 +480,30 @@ TEST(CharacterizeExactness, StatEquivProfile) {
   expect_matches_fresh_sessions({}, options, 12);
 }
 
-// A cell that does not integrate: unpowered and without input followers,
-// so its 10 mV reference integrates to exactly 0 V. The range measurement
-// has failed; it must read as a zero range, not as linear up to the 0.5 V
-// bound the compression search starts from.
-TEST(CharacterizeDeadCell, ReportsZeroLinearRange) {
+// A dead cell, unpowered and without input followers, has an identically
+// zero AC response. The two-pole fit refuses its -inf dB magnitudes, so
+// the cell is not characterized at all (an unpowered cell alone is refused
+// the same way), and its Monte-Carlo trial is a yield failure that carries
+// the reason instead of handing a -inf dB gain to the behavioral model.
+TEST(CharacterizeDeadCell, IsRejectedAtTheFit) {
   spice::ItdSizing dead;
   dead.vdd = 0.0;
   dead.w_in = 0.0;
-  int integrations = 0;
-  EXPECT_EQ(characterize_fresh_sessions(dead, {}, &integrations)
-                .input_linear_range,
-            0.5);  // the unguarded search never sees a compressed slope
-  const auto ch = core::characterize_itd(dead);
-  EXPECT_EQ(ch.input_linear_range, 0.0);
-  EXPECT_EQ(ch.slew_rate, 0.0);
+  EXPECT_THROW(core::characterize_itd(dead), std::invalid_argument);
+  spice::ItdSizing unpowered;
+  unpowered.vdd = 0.0;
+  EXPECT_THROW(core::characterize_itd(unpowered), std::invalid_argument);
 
   core::McConfig cfg;
   cfg.sizing.w_in = 0.0;
   cfg.corner.vdd = 0.0;
   cfg.sigma_scale = 0.0;
-  core::YieldCriteria criteria;
-  criteria.min_input_range = 0.01;
-  const auto trial = core::run_mc_trial(cfg, 0, criteria);
-  ASSERT_TRUE(trial.converged) << trial.failure_reason;
-  EXPECT_EQ(trial.input_linear_range, 0.0);
-  EXPECT_TRUE(trial.violations & core::kViolInputRange);
+  const auto trial = core::run_mc_trial(cfg, 0, core::YieldCriteria{});
+  EXPECT_FALSE(trial.converged);
+  EXPECT_NE(trial.failure_reason.find("non-finite magnitude"),
+            std::string::npos)
+      << trial.failure_reason;
+  EXPECT_EQ(trial.violations, core::kViolNoConverge);
 }
 
 }  // namespace

@@ -247,11 +247,9 @@ TEST(TierContract, VariantOptionsFollowTheTier) {
   const spice::TransientOptions defaults;
   EXPECT_EQ(exact.transient.chord_tol_scale, defaults.chord_tol_scale);
   EXPECT_EQ(exact.transient.cosim_decimation, defaults.cosim_decimation);
-  EXPECT_EQ(exact.transient.packed_solve, defaults.packed_solve);
   // ...while stat_equiv enables the optimized profile.
   EXPECT_GT(fast.transient.chord_tol_scale, exact.transient.chord_tol_scale);
   EXPECT_GT(fast.transient.cosim_decimation, 1);
-  EXPECT_TRUE(fast.transient.packed_solve);
   EXPECT_TRUE(fast.transient.fused_commit);
 }
 

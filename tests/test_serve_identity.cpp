@@ -158,7 +158,7 @@ TEST(CanonicalCompleteness, FieldCountAndSizeofPins) {
   EXPECT_EQ(field_count<spice::ModelVariation>(), 8);
   EXPECT_EQ(field_count<spice::ItdSizing>(), 37);
   EXPECT_EQ(field_count<spice::OpOptions>(), 6);
-  EXPECT_EQ(field_count<spice::TransientOptions>(), 13);
+  EXPECT_EQ(field_count<spice::TransientOptions>(), 12);
   EXPECT_EQ(field_count<core::CharacterizeOptions>(), 7);
   EXPECT_EQ(field_count<uwb::TwrConfig>(), 5);
   EXPECT_EQ(field_count<net::CalibrationConfig>(), 7);
@@ -303,10 +303,10 @@ TEST(CanonicalStrictness, RejectsUnknownMissingAndMalformed) {
   EXPECT_THROW(canon::from_json(base::JsonValue(frac), &sys_out),
                base::JsonError);
 
-  // TransientOptions documents written before the adaptive stepper and
-  // the Newton predictor were removed: their knobs are unknown keys now,
-  // so an old characterize entry or checkpoint is refused, not re-read
-  // as if those knobs never existed.
+  // TransientOptions documents written before the adaptive stepper, the
+  // Newton predictor and the packed LU solve were removed: their knobs are
+  // unknown keys now, so an old characterize entry or checkpoint is
+  // refused, not re-read as if those knobs never existed.
   const base::JsonValue tr_doc = canon::to_json(spice::TransientOptions{});
   spice::TransientOptions tr_out;
   base::JsonObject old_adaptive = tr_doc.as_object();
@@ -320,6 +320,10 @@ TEST(CanonicalStrictness, RejectsUnknownMissingAndMalformed) {
   old_predictor["predictor"] = base::JsonValue(false);
   old_predictor["jacobian_refresh_every"] = base::JsonValue(3);
   EXPECT_THROW(canon::from_json(base::JsonValue(old_predictor), &tr_out),
+               base::JsonError);
+  base::JsonObject old_packed = tr_doc.as_object();
+  old_packed["packed_solve"] = base::JsonValue(true);
+  EXPECT_THROW(canon::from_json(base::JsonValue(old_packed), &tr_out),
                base::JsonError);
 }
 
@@ -458,7 +462,7 @@ TEST(ReferenceVectors, PinnedContentKeys) {
             "0x34e5dc2a9cbe93c1");
   EXPECT_EQ(
       base::hex_u64(canon::key_of(canon::to_json(spice::TransientOptions{}))),
-      "0x5ddb4388c1465eb6");
+      "0xa5c27f087d2ead7f");
   EXPECT_EQ(base::hex_u64(
                 runner::spec_content_key(runner::ScenarioSpec("pinned"))),
             "0x8200392562a065e3");
@@ -468,7 +472,7 @@ TEST(ReferenceVectors, PinnedContentKeys) {
   // The memo keys of the default configurations: existing UWBAMS_CACHE
   // stores keep hitting while these hold.
   EXPECT_EQ(base::hex_u64(core::memo::characterize_content_key({}, {})),
-            "0x9aa9d83bbbc37514");
+            "0x6868db54659bd5a7");
   EXPECT_EQ(base::hex_u64(net::surrogate_content_key(
                 net::CalibrationConfig{}, core::IntegratorKind::kIdeal)),
             "0x4d9112688efd0c57");
