@@ -1,26 +1,50 @@
 #include "ams/kernel.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace uwbams::ams {
 
 Kernel::Kernel(double dt)
     : dt_(dt), batch_hist_(static_cast<std::size_t>(kMaxBatch) + 1, 0) {
-  if (dt <= 0.0) throw std::invalid_argument("Kernel: dt must be positive");
+  // A NaN or infinite step would construct a kernel whose every
+  // run_until() silently does nothing.
+  if (!(dt > 0.0) || !std::isfinite(dt))
+    throw std::invalid_argument("Kernel: dt must be positive and finite");
 }
 
 void Kernel::add_analog(AnalogBlock& block) { analog_.push_back(&block); }
 
+void Kernel::remove_analog(AnalogBlock& block) {
+  const auto it = std::find(analog_.begin(), analog_.end(), &block);
+  if (it == analog_.end())
+    throw std::invalid_argument("Kernel::remove_analog: block not registered");
+  analog_.erase(it);
+}
+
+namespace {
+
+// A NaN event time would break the event queue's ordering; an infinite one
+// could never fire.
+void check_event_time(double t, double now, double dt, const char* who) {
+  if (!std::isfinite(t))
+    throw std::invalid_argument(std::string(who) + ": time not finite");
+  if (t < now - 0.5 * dt)
+    throw std::invalid_argument(std::string(who) + ": time in the past");
+}
+
+}  // namespace
+
 void Kernel::schedule(DigitalProcess& process, double t) {
-  if (t < t_ - 0.5 * dt_)
-    throw std::invalid_argument("Kernel::schedule: time in the past");
+  check_event_time(t, t_, dt_, "Kernel::schedule");
   events_.push(Event{t, seq_++, &process, {}});
 }
 
 void Kernel::schedule_callback(double t, std::function<void(double)> fn) {
-  if (t < t_ - 0.5 * dt_)
-    throw std::invalid_argument("Kernel::schedule_callback: time in the past");
+  check_event_time(t, t_, dt_, "Kernel::schedule_callback");
   events_.push(Event{t, seq_++, nullptr, std::move(fn)});
 }
 
@@ -47,17 +71,22 @@ void Kernel::step() {
   ++steps_;
 }
 
-void Kernel::run_until(double t_stop) {
+bool Kernel::run_until(double t_stop) {
   // Fire due events, then advance the longest run of samples that reaches
   // neither the next due event nor t_stop nor kMaxBatch. The admission test
   // per candidate sample is exactly fire_due_events()' condition, and the
   // sample times are built with the same repeated addition as step(), so
   // every digital event fires at the identical sample boundary it would
   // under single-sample stepping.
+  // A NaN t_stop would fail every `t_ < stop` test and return at once.
+  if (std::isnan(t_stop))
+    throw std::invalid_argument("Kernel::run_until: t_stop is NaN");
   const double due_eps = 0.25 * dt_;
   const double stop = t_stop - 0.5 * dt_;
+  stop_requested_ = false;
   while (t_ < stop) {
     fire_due_events();
+    if (stop_requested_) break;
     int n = 0;
     double tt = t_;
     while (n < kMaxBatch && tt < stop &&
@@ -73,6 +102,9 @@ void Kernel::run_until(double t_stop) {
     steps_ += static_cast<std::uint64_t>(n);
     ++batch_hist_[static_cast<std::size_t>(n)];
   }
+  const bool stopped = stop_requested_;
+  stop_requested_ = false;
+  return stopped;
 }
 
 }  // namespace uwbams::ams

@@ -27,6 +27,15 @@
 // kernel stepped one sample at a time, and each block processes a tight
 // per-sample loop over its producers' output buffers (same per-sample
 // operation order, same RNG draw order at any batch cut).
+//
+// Early exit: a testbench that knows its result is fixed can end a run
+// without simulating the rest of it. stop() (typically called from an event
+// callback) ends the run_until() in progress at the next batch boundary,
+// and remove_analog() retires a block between run_until() calls. Because
+// the kernel is batch-cut invariant, stopping and resuming changes no
+// sample of any block, and a retired block's consumers see exactly what
+// they would have if it were never removed, provided nothing still
+// registered reads its outputs.
 #pragma once
 
 #include <array>
@@ -83,9 +92,15 @@ class Kernel {
   // Registers an analog block (non-owning; testbench owns blocks). Order of
   // registration is the per-step evaluation order.
   void add_analog(AnalogBlock& block);
-  // Schedules a digital wake-up at absolute time t (>= current time).
+  // Drops a registered block (std::invalid_argument if it is not); the
+  // rest keep their relative order. The block is not stepped again, so no
+  // block still registered may read its outputs. Call it only between
+  // run_until() calls, e.g. after a stop().
+  void remove_analog(AnalogBlock& block);
+  // Schedules a digital wake-up at absolute time t (finite, >= current
+  // time; otherwise std::invalid_argument).
   void schedule(DigitalProcess& process, double t);
-  // Schedules a one-shot callback at absolute time t.
+  // Schedules a one-shot callback at absolute time t (same rules).
   void schedule_callback(double t, std::function<void(double)> fn);
 
   // Count of executed batches by size (index = batch length in samples;
@@ -99,8 +114,16 @@ class Kernel {
   // batch of n = 1).
   void step();
   // Steps until time() >= t_stop (within half a step), in event-bounded
-  // batches.
-  void run_until(double t_stop);
+  // batches. Returns false when t_stop was reached and true when stop()
+  // ended the run early, in which case the events due at time() have fired
+  // and no block has stepped past it. A NaN t_stop throws
+  // std::invalid_argument.
+  bool run_until(double t_stop);
+  // Ends the run_until() in progress at the next batch boundary: the flag
+  // is tested after the due events fire and before the batch steps. Each
+  // run_until() starts with the flag clear, so a stop() outside a run has
+  // no effect.
+  void stop() { stop_requested_ = true; }
 
  private:
   struct Event {
@@ -119,6 +142,7 @@ class Kernel {
   double t_ = 0.0;
   std::uint64_t steps_ = 0;
   std::uint64_t seq_ = 0;
+  bool stop_requested_ = false;
   std::vector<AnalogBlock*> analog_;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events_;
 

@@ -95,4 +95,10 @@ InterferenceSet::InterferenceSet(ams::Kernel& kernel, const SystemConfig& cfg,
   out_ = sum_->out();
 }
 
+void InterferenceSet::retire(ams::Kernel& kernel) {
+  if (cw_) kernel.remove_analog(*cw_);
+  for (auto& p : piconets_) kernel.remove_analog(*p);
+  if (sum_) kernel.remove_analog(*sum_);
+}
+
 }  // namespace uwbams::uwb

@@ -91,6 +91,8 @@ class InterferenceSet {
 
   const double* out() const { return out_; }
   bool active() const { return sum_ != nullptr; }
+  /// Unregisters every block this set registered (none when empty).
+  void retire(ams::Kernel& kernel);
 
  private:
   std::unique_ptr<CwTone> cw_;

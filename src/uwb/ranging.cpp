@@ -120,8 +120,12 @@ TwrIteration TwoWayRanging::run_iteration(std::uint64_t channel_seed,
     const double t_start =
         toa + pt - node_b.tx().pulse_offset_in_slot();
     node_b.send(reply, t_start);
+    kernel.stop();
   });
-  node_a.rx().on_sync([&](double toa) { toa_a = toa; });
+  node_a.rx().on_sync([&](double toa) {
+    toa_a = toa;
+    kernel.stop();
+  });
 
   // A turns its receiver around once its own transmission is over
   // (half-duplex antenna switch). The turnaround is an A-local decision:
@@ -135,10 +139,28 @@ TwrIteration TwoWayRanging::run_iteration(std::uint64_t channel_seed,
             kernel, node_a.rx().clock().local_time(now) + 50e-9);
       });
 
-  // Run long enough for the full exchange.
+  // The exchange lasts at most this long. It ends as soon as both sides
+  // have synced: the result reads only the two ToAs (each set once), the
+  // two send timestamps and pure counter arithmetic, so nothing simulated
+  // after A's sync can change it. Once B has synced, the whole A->B link
+  // (A's transmitter, the A->B channel, B's receive path) feeds nothing
+  // the result reads either: the channel has its own noise stream and
+  // clock jitter is keyed by edge time, so retiring the link moves no
+  // other draw. B's transmitter and the B->A path keep running. The kernel
+  // is batch-cut invariant, so every sample A sees is the one the
+  // full-length run would give (docs/ranging.md).
   const double t_end =
       t_request + pt + 2.0 * packet_duration + 3e-6;
-  kernel.run_until(t_end);
+  bool ab_retired = false;
+  while (kernel.run_until(t_end)) {
+    if (toa_b >= 0.0 && !ab_retired) {
+      kernel.remove_analog(node_a.tx());
+      kernel.remove_analog(chan_ab);
+      node_b.retire_rx(kernel);
+      ab_retired = true;
+    }
+    if (toa_a >= 0.0 && toa_b >= 0.0) break;
+  }
 
   if (toa_a < 0.0 || toa_b < 0.0) return result;  // acquisition failed
 

@@ -131,7 +131,11 @@ class TwoWayRanging {
 
   TwrResult run();
   /// Single exchange with explicit seeds (used by tests): the channel seed
-  /// draws the CM1 realizations, the noise seed the AWGN and payload.
+  /// draws the CM1 realizations, the noise seed the AWGN and payload. The
+  /// exchange simulates only what its result can observe: it ends once
+  /// both sides have synced, and the A->B link stops at B's sync; a side
+  /// that never syncs runs it to the full-length deadline
+  /// (docs/ranging.md, "What an exchange simulates").
   TwrIteration run_iteration(std::uint64_t channel_seed,
                              std::uint64_t noise_seed);
 

@@ -87,6 +87,15 @@ void Receiver::start_acquire(ams::Kernel& kernel, double t_start) {
   controller_->start(kernel, t_start);
 }
 
+void Receiver::retire(ams::Kernel& kernel) {
+  kernel.remove_analog(*lna_);
+  kernel.remove_analog(*vga_);
+  kernel.remove_analog(*squarer_);
+  kernel.remove_analog(*sq_peak_);
+  kernel.remove_analog(*itd_);
+  controller_->stop();
+}
+
 void Receiver::handle_sample(const WindowSample& s) {
   if (keep_samples_) samples_.push_back(s);
   if (mode_ == SyncMode::kGenie)

@@ -75,6 +75,10 @@ class Receiver {
 
   /// --- acquire mode (ranging runs): full NE/PS/AGC/sync sequence.
   void start_acquire(ams::Kernel& kernel, double t_start);
+  /// Takes the analog chain (LNA, VGA, squarer, peak tracker, I&D) out of
+  /// the kernel and stops the window controller: no block of this receiver
+  /// steps and no FSM event fires again. Call between run_until() calls.
+  void retire(ams::Kernel& kernel);
   /// Callback fired once the fine ToA estimate is available.
   void on_sync(std::function<void(double toa)> cb) { sync_cb_ = std::move(cb); }
   /// Payload collection after acquisition: once synchronized, the data FSM

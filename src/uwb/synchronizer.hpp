@@ -39,6 +39,9 @@ class ItdController {
   /// previously scheduled cycle is invalidated (restart-safe: scheduled
   /// events carry an epoch tag and stale ones are ignored).
   void start(ams::Kernel& kernel, double first_window_start);
+  /// Ends the window cycle: bumps the epoch like start(), so every pending
+  /// phase event goes stale and no further phase or sample callback fires.
+  void stop() { ++epoch_; }
   /// Overrides the start of the *next* window (used by sync retiming). Must
   /// be in the future; subsequent windows continue at start + k*period.
   void set_next_window_start(double t) { pending_start_ = t; }

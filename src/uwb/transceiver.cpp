@@ -36,6 +36,12 @@ void Transceiver::build_rx(ams::Kernel& kernel, const double* rf_input,
                                    make_integrator);
 }
 
+void Transceiver::retire_rx(ams::Kernel& kernel) {
+  Receiver& receiver = rx();  // throws before build_rx()
+  interf_->retire(kernel);
+  receiver.retire(kernel);
+}
+
 void Transceiver::send(const Packet& packet, double t_start) {
   tx_->send(packet, t_start);
   t_tx_pulse_ = tx_->first_pulse_time();

@@ -46,6 +46,10 @@ class Transceiver {
   /// build_rx() has not run yet (the receive chain does not exist).
   Receiver& rx();
   const double* tx_out() const { return tx_->out(); }
+  /// Retires the whole receive path (interference set + receiver chain,
+  /// Receiver::retire) from the kernel once nothing downstream can observe
+  /// it; the transmitter keeps running. Call between run_until() calls.
+  void retire_rx(ams::Kernel& kernel);
 
   /// Sends a packet and records the counter timestamp of its first pulse.
   void send(const Packet& packet, double t_start);

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -63,6 +64,9 @@ TEST(Kernel, FixedStepAdvancesTime) {
 TEST(Kernel, RejectsBadDt) {
   EXPECT_THROW(ams::Kernel(0.0), std::invalid_argument);
   EXPECT_THROW(ams::Kernel(-1.0), std::invalid_argument);
+  EXPECT_THROW(ams::Kernel(std::nan("")), std::invalid_argument);
+  EXPECT_THROW(ams::Kernel(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
 }
 
 TEST(Kernel, BlocksStepInRegistrationOrder) {
@@ -101,6 +105,17 @@ TEST(Kernel, CallbackAndPastSchedulingRejected) {
   k.run_until(10e-9);
   EXPECT_EQ(fired, 1);
   EXPECT_THROW(k.schedule_callback(1e-9, [](double) {}), std::invalid_argument);
+  // Non-finite times would break the event queue's ordering or never fire.
+  struct Idle : ams::DigitalProcess {
+    void wake(ams::Kernel&, double) override {}
+  } idle;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {std::nan(""), inf, -inf}) {
+    EXPECT_THROW(k.schedule_callback(bad, [](double) {}),
+                 std::invalid_argument);
+    EXPECT_THROW(k.schedule(idle, bad), std::invalid_argument);
+  }
+  EXPECT_THROW(k.run_until(std::nan("")), std::invalid_argument);
 }
 
 TEST(Kernel, EventsBeforeAnalogStep) {

@@ -6,7 +6,9 @@
 // the batches are cut at other positions — must produce every waveform
 // sample, window sample, BER count and acquisition result exactly: same
 // operation order, same RNG draw order. The same holds for the parallel
-// Eb/N0 sweep at every job count. These tests compare doubles with
+// Eb/N0 sweep at every job count. Ending a run early (Kernel::stop) and
+// retiring blocks between runs (Kernel::remove_analog) must leave every
+// remaining sample unchanged too. These tests compare doubles with
 // EXPECT_EQ on purpose.
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <vector>
 
 #include "ams/kernel.hpp"
@@ -23,6 +26,7 @@
 #include "uwb/channel.hpp"
 #include "uwb/pulse.hpp"
 #include "uwb/receiver.hpp"
+#include "uwb/synchronizer.hpp"
 #include "uwb/transmitter.hpp"
 
 namespace {
@@ -109,6 +113,104 @@ std::vector<double> run_chain_waveform(int how) {
 
   drive(kernel, p.duration(sys.symbol_period) + 60e-9, how);
   return tap.values;
+}
+
+// One transmitter feeding two channels, each with its own AWGN stream and
+// its own waveform tap.
+struct TwoChannelBench {
+  SystemConfig sys = batch_sys();
+  ams::Kernel kernel{sys.dt};
+  Transmitter tx{sys};
+  ChannelBlock chan1{sys, tx.out()};
+  ChannelBlock chan2{sys, tx.out()};
+  BatchTap tap1{chan1.out()};
+  BatchTap tap2{chan2.out()};
+  double t_stop = 0.0;
+
+  TwoChannelBench() {
+    for (ams::AnalogBlock* b :
+         std::initializer_list<ams::AnalogBlock*>{&tx, &chan1, &chan2, &tap1,
+                                                  &tap2})
+      kernel.add_analog(*b);
+    chan1.set_realization(chain_cm1(), 3e-3);
+    chan2.set_awgn_only(3e-3);
+    chan1.set_noise_psd(2e-18);
+    chan2.set_noise_psd(2e-18);
+    chan1.reseed(99);
+    chan2.reseed(7);
+    Packet p;
+    p.preamble_symbols = 2;
+    p.payload = {true, false, true};
+    tx.send(p, 30e-9);
+    t_stop = p.duration(sys.symbol_period) + 60e-9;
+  }
+};
+
+TEST(KernelBatch, StopFromCallbackEndsRunAndResumesBitIdentical) {
+  TwoChannelBench full;
+  EXPECT_FALSE(full.kernel.run_until(full.t_stop));
+
+  TwoChannelBench cut;
+  cut.kernel.stop();  // outside a run: the next run_until starts fresh
+  double fired_at = -1.0;
+  cut.kernel.schedule_callback(101.3e-9, [&](double now) {
+    fired_at = now;
+    cut.kernel.stop();
+  });
+  EXPECT_TRUE(cut.kernel.run_until(cut.t_stop));
+  // Ended at the event's batch boundary: no block stepped past it.
+  EXPECT_EQ(cut.kernel.time(), fired_at);
+  EXPECT_EQ(cut.tap1.values.size(), cut.kernel.steps());
+  EXPECT_LT(cut.kernel.steps(), full.kernel.steps());
+
+  EXPECT_FALSE(cut.kernel.run_until(cut.t_stop));
+  EXPECT_EQ(cut.kernel.time(), full.kernel.time());
+  EXPECT_EQ(cut.tap1.values, full.tap1.values);
+  EXPECT_EQ(cut.tap2.values, full.tap2.values);
+}
+
+TEST(KernelBatch, RemoveAnalogMidRunLeavesOtherBlocksBitIdentical) {
+  TwoChannelBench full;
+  full.kernel.run_until(full.t_stop);
+
+  TwoChannelBench cut;
+  cut.kernel.run_until(0.4 * cut.t_stop);
+  const std::size_t seen = cut.tap2.values.size();
+  ASSERT_GT(seen, 0u);
+  cut.kernel.remove_analog(cut.chan2);
+  cut.kernel.remove_analog(cut.tap2);
+  EXPECT_THROW(cut.kernel.remove_analog(cut.chan2), std::invalid_argument);
+  cut.kernel.run_until(cut.t_stop);
+
+  // The survivors (including chan1's noise draws) are untouched...
+  EXPECT_EQ(cut.tap1.values, full.tap1.values);
+  // ...and the removed blocks never stepped again.
+  ASSERT_EQ(cut.tap2.values.size(), seen);
+  EXPECT_TRUE(std::equal(cut.tap2.values.begin(), cut.tap2.values.end(),
+                         full.tap2.values.begin()));
+}
+
+TEST(KernelBatch, StoppedItdControllerFiresNoFurtherPhase) {
+  const SystemConfig sys = batch_sys();
+  ams::Kernel kernel(sys.dt);
+  const std::vector<double> input(ams::kMaxBatch, 0.1);
+  IdealIntegrator itd(input.data(), sys.integrator_k);
+  kernel.add_analog(itd);
+  const Adc adc(sys.adc_bits, sys.adc_vmin, sys.adc_vmax);
+  int samples = 0;
+  ItdController ctl(itd, adc, sys.slot_period(), sys.reset_width,
+                    sys.integration_window,
+                    [&](const WindowSample&) { ++samples; });
+  ctl.start(kernel, 10e-9);
+  kernel.run_until(500e-9);
+  ASSERT_GT(samples, 0);
+
+  const int before = samples;
+  const IntegrateAndDump::Mode mode = itd.mode();
+  ctl.stop();
+  kernel.run_until(2e-6);  // spans many window periods
+  EXPECT_EQ(samples, before);
+  EXPECT_EQ(itd.mode(), mode);  // no dump/integrate/hold edge either
 }
 
 TEST(KernelBatch, WaveformsBitIdenticalAcrossBatchCuts) {

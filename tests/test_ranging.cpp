@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <functional>
+#include <string>
 
 #include "base/parallel.hpp"
 #include "core/block_variant.hpp"
+#include "uwb/channel.hpp"
 #include "uwb/ranging.hpp"
 
 namespace {
@@ -105,6 +109,92 @@ TEST(Twr, ShardedRunIsBitIdenticalToSerial) {
               sharded[i].distance_estimate);
     EXPECT_EQ(serial.iterations[i].toa_bias_a, sharded[i].toa_bias_a);
     EXPECT_EQ(serial.iterations[i].toa_bias_b, sharded[i].toa_bias_b);
+  }
+}
+
+// Pinned exchange results. run_iteration ends an exchange once both sides
+// have synced and retires the responder's receive path at its own sync;
+// these bit patterns were captured from the full-length exchange (every
+// block stepped to t_end), so they hold the early exit to exactness. The
+// cases cover each channel type, nonideal clocks, interference blocks on
+// both receive paths, and an exchange that fails acquisition and runs to
+// t_end.
+std::string hex(double x) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", x);
+  return buf;
+}
+
+struct TwrPin {
+  const char* name;
+  std::function<void(uwb::TwrConfig&)> setup;
+  core::IntegratorKind kind;
+  bool ok;
+  const char* distance_estimate;
+  const char* distance_raw;
+  const char* toa_bias_a;
+  const char* toa_bias_b;
+};
+
+TEST(Twr, ExchangeResultsPinnedBitForBit) {
+  const TwrPin pins[] = {
+      {"awgn", [](uwb::TwrConfig& c) { c.sys.multipath = false; },
+       core::IntegratorKind::kIdeal, true,
+       "0x1.369cf2cf199dcp+3", "0x1.369cf2cf199dcp+3",
+       "-0x1.f8b6851ace4p-32", "-0x1.c8bcbc67c72p-31"},
+      {"cm1", [](uwb::TwrConfig&) {}, core::IntegratorKind::kIdeal, true,
+       "0x1.de0abc13afa92p+3", "0x1.de0abc13afa92p+3",
+       "0x1.6a89732463f2p-28", "0x1.e6df65fb921c8p-26"},
+      {"cm1_behavioral", [](uwb::TwrConfig&) {},
+       core::IntegratorKind::kBehavioral, true,
+       "0x1.deb4b1d5fe5ffp+3", "0x1.deb4b1d5fe5ffp+3",
+       "0x1.6fc88e70d0f2p-28", "0x1.e7f05a75959c8p-26"},
+      {"cm3",
+       [](uwb::TwrConfig& c) {
+         uwb::apply_channel_class(&c.sys, uwb::ChannelClass::kCm3);
+       },
+       core::IntegratorKind::kIdeal, true,
+       "0x1.3792a842ecfe4p+3", "0x1.3792a842ecfe4p+3",
+       "-0x1.2b071c5adee8p-30", "-0x1.08a8ae39dp-39"},
+      {"clocks",
+       [](uwb::TwrConfig& c) {
+         c.processing_time = 40e-6;
+         c.clock_a.ppm = 12.0;
+         c.clock_a.drift_ppm_per_s = 3e3;
+         c.clock_a.jitter_rms = 20e-12;
+         c.clock_b.ppm = -17.0;
+         c.clock_b.drift_ppm_per_s = -2e3;
+         c.clock_b.jitter_rms = 35e-12;
+         c.compensate_ppm = true;
+       },
+       core::IntegratorKind::kIdeal, true,
+       "0x1.e0b03cb4e5603p+3", "0x1.e640a8b61770cp+3",
+       "0x1.fbf983783ec8p-28", "0x1.dfebabbc3f7c8p-26"},
+      {"interference",
+       [](uwb::TwrConfig& c) {
+         c.sys.interference.cw_amplitude = 1e-4;
+         c.sys.interference.uwb_count = 1;
+         c.sys.interference.uwb_amplitude = 1e-4;
+       },
+       core::IntegratorKind::kIdeal, true,
+       "0x1.93c74e260ffa9p+3", "0x1.93c74e260ffa9p+3",
+       "0x1.87b349b097f2p-28", "0x1.ab328d75dd4ep-27"},
+      {"out_of_range", [](uwb::TwrConfig& c) { c.sys.distance = 400.0; },
+       core::IntegratorKind::kIdeal, false,
+       "-0x1p+0", "-0x1p+0",
+       "0x0p+0", "0x0p+0"},
+  };
+  for (const TwrPin& pin : pins) {
+    auto cfg = fast_cfg();
+    cfg.sys.seed = 5;
+    pin.setup(cfg);
+    const auto it = uwb::run_twr_exchange(
+        cfg, core::make_integrator_factory(pin.kind, cfg.sys), 0);
+    EXPECT_EQ(it.ok, pin.ok) << pin.name;
+    EXPECT_EQ(hex(it.distance_estimate), pin.distance_estimate) << pin.name;
+    EXPECT_EQ(hex(it.distance_raw), pin.distance_raw) << pin.name;
+    EXPECT_EQ(hex(it.toa_bias_a), pin.toa_bias_a) << pin.name;
+    EXPECT_EQ(hex(it.toa_bias_b), pin.toa_bias_b) << pin.name;
   }
 }
 
