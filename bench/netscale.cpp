@@ -17,9 +17,9 @@
 // so any --jobs value reproduces --jobs=1 bit for bit (the CI determinism
 // gate byte-compares positions.csv, rounds.csv and surrogate.json).
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -99,20 +99,36 @@ bool load_or_calibrate(const runner::RunContext& ctx, net::SurrogateTable* out,
   return true;
 }
 
-// positions.csv: one row per (round, tag), fixed %.6f formatting so the CI
-// gate can byte-compare across --jobs and re-runs.
+// positions.csv: one row per (round, tag), fixed %.6f formatting (through
+// base::append_fixed) so the CI gate can byte-compare across --jobs and
+// re-runs.
 std::string positions_csv(const net::NetScaleResult& res) {
   std::string csv = "round,tag,true_x,true_y,est_x,est_y,err_m,links,solved\n";
-  char buf[256];
+  std::size_t row_count = 0;
+  for (const auto& round : res.tag_rounds) row_count += round.size();
+  csv.reserve(csv.size() + row_count * 80);
+  const auto integer = [&csv](auto v) {
+    char buf[24];
+    csv.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    csv += ',';
+  };
+  const auto fixed6 = [&csv](double v) {
+    base::append_fixed(&csv, v, 6);
+    csv += ',';
+  };
   for (std::size_t r = 0; r < res.tag_rounds.size(); ++r) {
     const auto& rows = res.tag_rounds[r];
     for (std::size_t t = 0; t < rows.size(); ++t) {
       const net::TagRound& row = rows[t];
-      std::snprintf(buf, sizeof buf,
-                    "%zu,%zu,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d\n", r, t,
-                    row.true_x, row.true_y, row.est_x, row.est_y, row.err_m,
-                    row.links, row.solved ? 1 : 0);
-      csv += buf;
+      integer(r);
+      integer(t);
+      fixed6(row.true_x);
+      fixed6(row.true_y);
+      fixed6(row.est_x);
+      fixed6(row.est_y);
+      fixed6(row.err_m);
+      integer(row.links);
+      csv += row.solved ? "1\n" : "0\n";
     }
   }
   return csv;

@@ -7,6 +7,7 @@
 // IEEE 802.15.4a channel model.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -21,7 +22,9 @@ namespace uwbams::base {
 /// first block a word at a time, as draws need them (word k needs the seed
 /// words up to k + 156). A fresh sub-stream that draws a handful of words
 /// therefore costs ~160 word steps instead of 624. Later blocks use the
-/// standard full twist.
+/// standard full twist. Only x_[0, seeded_) is ever written or read, so a
+/// fresh engine leaves the rest of its state uninitialized, and a copy
+/// copies only the live words.
 class Mt19937_64 {
  public:
   using result_type = std::uint64_t;
@@ -29,6 +32,16 @@ class Mt19937_64 {
   static constexpr result_type max() { return ~result_type{0}; }
 
   explicit Mt19937_64(result_type s) { seed(s); }
+  Mt19937_64(const Mt19937_64& o) { *this = o; }
+  Mt19937_64& operator=(const Mt19937_64& o) {
+    if (this != &o) {
+      std::copy_n(o.x_, o.seeded_, x_);
+      seeded_ = o.seeded_;
+      next_ = o.next_;
+      ready_ = o.ready_;
+    }
+    return *this;
+  }
 
   void seed(result_type s) {
     x_[0] = s;
@@ -56,7 +69,7 @@ class Mt19937_64 {
   /// x_[0, seeded_) hold state (seed words not yet twisted, or twisted
   /// words); x_[0, ready_) of the current block are twisted; next_ is the
   /// next word to temper.
-  result_type x_[kN] = {};
+  result_type x_[kN];
   int seeded_ = 0;
   int next_ = 0;
   int ready_ = 0;

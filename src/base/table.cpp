@@ -1,6 +1,7 @@
 #include "base/table.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -9,10 +10,26 @@
 
 namespace uwbams::base {
 
+void append_fixed(std::string* out, double v, int precision) {
+  // Sign, DBL_MAX's 309 integer digits, the point, then the fraction.
+  constexpr int kIntegerPart = 311;
+  char buf[512];
+  if (precision <= static_cast<int>(sizeof buf) - kIntegerPart) {
+    const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::fixed, precision);
+    out->append(buf, r.ptr);
+    return;
+  }
+  std::string big(static_cast<std::size_t>(kIntegerPart + precision), '\0');
+  const auto r = std::to_chars(big.data(), big.data() + big.size(), v,
+                               std::chars_format::fixed, precision);
+  out->append(big.data(), r.ptr);
+}
+
 std::string Table::num(double v, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", precision, v);
-  return buf;
+  std::string s;
+  append_fixed(&s, v, precision);
+  return s;
 }
 
 std::string Table::sci(double v, int precision) {

@@ -11,6 +11,11 @@
 
 namespace uwbams::base {
 
+/// Appends v in fixed notation with `precision` digits after the point:
+/// the characters printf "%.*f" prints, without printf's locale and format
+/// parsing (std::to_chars fixed is specified to match it).
+void append_fixed(std::string* out, double v, int precision);
+
 class Table {
  public:
   explicit Table(std::string title) : title_(std::move(title)) {}
@@ -18,7 +23,8 @@ class Table {
   void set_header(std::vector<std::string> header) { header_ = std::move(header); }
   void add_row(std::vector<std::string> row) { rows_.push_back(std::move(row)); }
 
-  // Convenience: format doubles with the given precision.
+  // Convenience: format doubles with the given precision (num: "%.*f",
+  // through append_fixed; sci: "%.*e").
   static std::string num(double v, int precision = 4);
   static std::string sci(double v, int precision = 3);
 

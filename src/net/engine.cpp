@@ -78,16 +78,16 @@ NetScaleEngine::NetScaleEngine(const NetScaleConfig& cfg,
       mobility_({cfg.mobility, cfg.speed_mps, cfg.area_m},
                 static_cast<std::size_t>(std::max(cfg.tag_count, 0)),
                 base::derive_seed(cfg.seed, kMobilityPurpose)) {
-  if (cfg_.area_m <= 0.0)
-    throw std::invalid_argument("NetScaleEngine: area_m must be > 0");
+  // mobility_ has already rejected a bad area_m or speed_mps.
   if (cfg_.anchor_grid < 2)
     throw std::invalid_argument("NetScaleEngine: anchor_grid must be >= 2");
   if (cfg_.tag_count < 1)
     throw std::invalid_argument("NetScaleEngine: tag_count must be >= 1");
   if (cfg_.rounds < 1)
     throw std::invalid_argument("NetScaleEngine: rounds must be >= 1");
-  if (cfg_.round_period_s <= 0.0)
-    throw std::invalid_argument("NetScaleEngine: round_period_s must be > 0");
+  if (!std::isfinite(cfg_.round_period_s) || cfg_.round_period_s <= 0.0)
+    throw std::invalid_argument(
+        "NetScaleEngine: round_period_s must be finite and > 0");
   if (cfg_.max_range_m <= 0.0)
     throw std::invalid_argument("NetScaleEngine: max_range_m must be > 0");
   if (cfg_.max_links_per_tag < 3 || cfg_.max_links_per_tag > 200)

@@ -1,24 +1,32 @@
 #include "net/mobility.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace uwbams::net {
 
 namespace {
 constexpr double kPi = 3.141592653589793238462643383279502884;
 
-// Specular reflection of x into [0, limit] (handles multiple bounces for
-// steps longer than the area, which short round periods never produce but
-// the math should survive).
+// Specular reflection of a finite x into [0, limit]. One bounce (the only
+// case short round periods produce) is a single exact step; a step longer
+// than the area folds the unfolded coordinate by its exact remainder
+// modulo 2 * limit, flipping the velocity once per wall crossed, so even a
+// huge step takes constant time.
 double reflect(double x, double limit, double* v) {
-  while (x < 0.0 || x > limit) {
-    if (x < 0.0) {
-      x = -x;
-      *v = -*v;
-    } else {
-      x = 2.0 * limit - x;
-      *v = -*v;
-    }
+  if (x < -limit || x > 2.0 * limit) {
+    x = std::fmod(x, 2.0 * limit);
+    if (x < 0.0) x += 2.0 * limit;
+    if (x > limit) *v = -*v;
+    return x > limit ? 2.0 * limit - x : x;
+  }
+  if (x < 0.0) {
+    *v = -*v;
+    return -x;
+  }
+  if (x > limit) {
+    *v = -*v;
+    return 2.0 * limit - x;
   }
   return x;
 }
@@ -27,19 +35,31 @@ double reflect(double x, double limit, double* v) {
 MobilityModel::MobilityModel(const MobilityConfig& cfg, std::size_t tag_count,
                              std::uint64_t seed_stream)
     : cfg_(cfg), tags_(tag_count) {
-  base::Rng root(seed_stream);
-  for (std::size_t t = 0; t < tag_count; ++t) {
-    TagState& s = tags_[t];
-    s.rng = root.fork(static_cast<std::uint64_t>(t));
-    if (cfg_.kind == MobilityKind::kVelocity) {
-      const double ang = s.rng.uniform(0.0, 2.0 * kPi);
-      s.vx = cfg_.speed_mps * std::cos(ang);
-      s.vy = cfg_.speed_mps * std::sin(ang);
+  if (!std::isfinite(cfg_.speed_mps) || cfg_.speed_mps < 0.0)
+    throw std::invalid_argument(
+        "MobilityModel: speed_mps must be finite and >= 0");
+  if (!std::isfinite(cfg_.area_m) || cfg_.area_m <= 0.0)
+    throw std::invalid_argument("MobilityModel: area_m must be finite and > 0");
+  const base::Rng root(seed_stream);
+  if (cfg_.kind == MobilityKind::kWaypoint) {
+    rngs_.reserve(tag_count);
+    for (std::size_t t = 0; t < tag_count; ++t)
+      rngs_.push_back(root.fork(static_cast<std::uint64_t>(t)));
+  } else if (cfg_.kind == MobilityKind::kVelocity) {
+    for (std::size_t t = 0; t < tag_count; ++t) {
+      const double ang =
+          root.fork(static_cast<std::uint64_t>(t)).uniform(0.0, 2.0 * kPi);
+      tags_[t].vx = cfg_.speed_mps * std::cos(ang);
+      tags_[t].vy = cfg_.speed_mps * std::sin(ang);
     }
   }
 }
 
 void MobilityModel::advance(std::size_t t, double dt_s, double* x, double* y) {
+  const double step = cfg_.speed_mps * dt_s;  // distance walked this call
+  if (!std::isfinite(step))
+    throw std::invalid_argument(
+        "MobilityModel: the step speed_mps * dt_s must be finite");
   TagState& s = tags_.at(t);
   switch (cfg_.kind) {
     case MobilityKind::kStatic:
@@ -54,11 +74,12 @@ void MobilityModel::advance(std::size_t t, double dt_s, double* x, double* y) {
       return;
     }
     case MobilityKind::kWaypoint: {
-      double budget = cfg_.speed_mps * dt_s;
+      double budget = step;
       while (budget > 0.0) {
         if (!s.has_target) {
-          s.tx = s.rng.uniform(0.0, cfg_.area_m);
-          s.ty = s.rng.uniform(0.0, cfg_.area_m);
+          base::Rng& rng = rngs_[t];
+          s.tx = rng.uniform(0.0, cfg_.area_m);
+          s.ty = rng.uniform(0.0, cfg_.area_m);
           s.has_target = true;
         }
         const double dx = s.tx - *x;

@@ -12,9 +12,12 @@
 ///                 pedestrian/asset model.
 ///
 /// Every draw comes from a per-tag base::Rng forked off the mobility seed
-/// stream at construction, and updates are applied serially by the engine's
-/// event loop, so trajectories are bit-identical across runs and worker
-/// counts (the measurement fan-out never touches mobility state).
+/// stream (sub-stream t for tag t), and updates are applied serially by the
+/// engine's event loop, so trajectories are bit-identical across runs and
+/// worker counts (the measurement fan-out never touches mobility state).
+/// Only kWaypoint draws after construction, so only it keeps the per-tag
+/// streams; kVelocity draws its heading from a temporary fork, and kStatic
+/// holds no stream at all.
 #pragma once
 
 #include <cstdint>
@@ -38,17 +41,19 @@ class MobilityModel {
  public:
   /// `seed_stream` is the engine's mobility sub-stream; tag t forks
   /// sub-stream t of it. Initial positions are the caller's layout.
+  /// Throws std::invalid_argument on a non-finite or negative speed or a
+  /// non-finite or non-positive area.
   MobilityModel(const MobilityConfig& cfg, std::size_t tag_count,
                 std::uint64_t seed_stream);
 
   /// Advances tag `t` from `x`/`y` by `dt_s` seconds in place. Must be
   /// called serially, in tag order, once per round (state draws are
-  /// consumed in a fixed order).
+  /// consumed in a fixed order). Throws std::invalid_argument when the
+  /// step speed_mps * dt_s is not finite.
   void advance(std::size_t t, double dt_s, double* x, double* y);
 
  private:
   struct TagState {
-    base::Rng rng{1};
     double vx = 0.0, vy = 0.0;        // kVelocity
     double tx = 0.0, ty = 0.0;        // kWaypoint target
     bool has_target = false;
@@ -56,6 +61,7 @@ class MobilityModel {
 
   MobilityConfig cfg_;
   std::vector<TagState> tags_;
+  std::vector<base::Rng> rngs_;  ///< per-tag streams, kWaypoint only
 };
 
 }  // namespace uwbams::net

@@ -3,8 +3,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "base/random.hpp"
@@ -195,6 +199,39 @@ TEST(RngStream, EngineWordsMatchStdMt19937_64) {
   }
 }
 
+// Copies carry only the live state words: a copy (or an assignment over an
+// engine further along) taken mid-way through the lazily seeded first block,
+// at its end, or in a later block continues the stream exactly, and so does
+// the original.
+TEST(RngStream, EngineCopyKeepsTheStream) {
+  constexpr int kTail = 1000;  // runs past the next block boundary
+  for (const std::uint64_t seed : identity_seeds()) {
+    for (const int drawn : {0, 5, 157, 312, 700}) {
+      base::Mt19937_64 original(seed);
+      StdMt ref(seed);
+      for (int i = 0; i < drawn; ++i) {
+        original();
+        ref();
+      }
+      base::Mt19937_64 copied(original);
+      base::Mt19937_64 assigned(seed ^ 1);
+      for (int i = 0; i < 400; ++i) assigned();
+      assigned = original;
+      base::Mt19937_64& self = assigned;
+      assigned = self;
+      int mismatches = 0;
+      for (int j = 0; j < kTail; ++j) {
+        const std::uint64_t want = ref();
+        mismatches += copied() != want ? 1 : 0;
+        mismatches += assigned() != want ? 1 : 0;
+        mismatches += original() != want ? 1 : 0;
+      }
+      EXPECT_EQ(mismatches, 0) << "seed " << seed << ", copied after "
+                               << drawn << " draws";
+    }
+  }
+}
+
 TEST(RngStream, EveryMethodMatchesStdDistributions) {
   const std::vector<MethodPair> methods = method_pairs();
   for (const std::uint64_t seed : identity_seeds()) {
@@ -355,6 +392,77 @@ TEST(Table, RendersAllCells) {
   EXPECT_NE(s.find("Table X. demo"), std::string::npos);
   EXPECT_NE(s.find("IDEAL"), std::string::npos);
   EXPECT_NE(s.find("2.25"), std::string::npos);
+}
+
+namespace {
+
+std::string printf_fixed(double v, int precision) {
+  std::vector<char> buf(
+      static_cast<std::size_t>(
+          std::snprintf(nullptr, 0, "%.*f", precision, v)) + 1);
+  std::snprintf(buf.data(), buf.size(), "%.*f", precision, v);
+  return buf.data();
+}
+
+std::string append_fixed(double v, int precision) {
+  std::string s;
+  base::append_fixed(&s, v, precision);
+  return s;
+}
+
+}  // namespace
+
+// append_fixed (behind Table::num and positions.csv) prints what printf
+// "%.*f" prints, edge values and random bit patterns alike.
+TEST(Table, AppendFixedMatchesPrintf) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> edges = {
+      0.0, -0.0, 5e-7, -5e-7, 2.5e-7, 1.5e-6, 0.5, 1.5, 2.5, -2.5,
+      0.125, 1e-300, std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3, 1e300, -1e300,
+      std::numeric_limits<double>::max(), inf, -inf, nan, -nan};
+  for (int p = 0; p <= 9; ++p)
+    for (const double v : edges)
+      EXPECT_EQ(append_fixed(v, p), printf_fixed(v, p)) << v << " at " << p;
+  int mismatches = 0;
+  std::mt19937_64 bits(2024);
+  for (int i = 0; i < 1000000; ++i) {
+    const std::uint64_t w = bits();
+    double v;
+    std::memcpy(&v, &w, sizeof v);
+    const int p = i % 10;
+    mismatches += append_fixed(v, p) != printf_fixed(v, p) ? 1 : 0;
+  }
+  EXPECT_EQ(mismatches, 0);
+  // Appends after what the string holds; precisions past the stack buffer
+  // take the heap path.
+  std::string s = "x=";
+  base::append_fixed(&s, 1.25, 3);
+  EXPECT_EQ(s, "x=1.250");
+  EXPECT_EQ(append_fixed(1.0 / 3.0, 400), printf_fixed(1.0 / 3.0, 400));
+  EXPECT_EQ(append_fixed(-std::numeric_limits<double>::max(), 250),
+            printf_fixed(-std::numeric_limits<double>::max(), 250));
+}
+
+// Table::num keeps the strings it printed through snprintf.
+TEST(Table, NumKeepsItsStrings) {
+  EXPECT_EQ(base::Table::num(1.5, 2), "1.50");
+  EXPECT_EQ(base::Table::num(2.25, 1), "2.2");  // ties round to even
+  EXPECT_EQ(base::Table::num(-0.0), "-0.0000");
+  EXPECT_EQ(base::Table::num(2.675, 2), "2.67");  // 2.675 is just below the tie
+  EXPECT_EQ(base::Table::num(123456.789, 0), "123457");
+  EXPECT_EQ(base::Table::num(std::numeric_limits<double>::infinity()), "inf");
+  std::mt19937_64 gen(7);
+  std::uniform_real_distribution<double> mag(-12.0, 12.0);
+  int mismatches = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const double v = std::pow(10.0, mag(gen)) * (i % 2 ? -1.0 : 1.0);
+    const int p = i % 10;
+    mismatches += base::Table::num(v, p) != printf_fixed(v, p) ? 1 : 0;
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Series, StoresColumnsAndPlots) {

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -293,6 +294,97 @@ TEST(Mobility, StaysInsideAreaAndIsDeterministic) {
       EXPECT_GE(y[t], 0.0);
       EXPECT_LE(y[t], 20.0);
     }
+}
+
+// Trajectories pinned bit for bit: a change to how the model holds or forks
+// its per-tag streams must not move a single draw.
+TEST(Mobility, TrajectoriesKeepTheirDraws) {
+  struct Pin {
+    int round;
+    std::size_t tag;
+    double x, y;
+  };
+  const auto walk = [](const net::MobilityConfig& cfg, std::uint64_t seed,
+                       std::vector<double> x, std::vector<double> y,
+                       double dt_s, const std::vector<Pin>& pins) {
+    net::MobilityModel m(cfg, x.size(), seed);
+    for (int r = 0; r < 6; ++r)
+      for (std::size_t t = 0; t < x.size(); ++t) {
+        m.advance(t, dt_s, &x[t], &y[t]);
+        for (const Pin& p : pins)
+          if (p.round == r && p.tag == t) {
+            EXPECT_EQ(x[t], p.x) << "round " << r << ", tag " << t;
+            EXPECT_EQ(y[t], p.y) << "round " << r << ", tag " << t;
+          }
+      }
+  };
+  // Velocity tags 1 and 2 start near a wall and bounce.
+  walk({net::MobilityKind::kVelocity, 3.0, 20.0}, 7, {10.0, 2.0, 18.5},
+       {10.0, 19.0, 1.0}, 1.0,
+       {{0, 0, 0x1.102863e37e6fbp+3, 0x1.933ab5649f2fep+3},
+        {0, 1, 0x1.40f9e6edf88b9p+1, 0x1.20b130b00cdb9p+4},
+        {0, 2, 0x1.0ad82b0a20dfbp+4, 0x1.621767fd61f2p+0},
+        {5, 0, 0x1.0792baa7b4f1p+0, 0x1.cc9fbfa444e0cp+3},
+        {5, 1, 0x1.42edb4c9e9a2ap+2, 0x1.a1392102692acp+1},
+        {5, 2, 0x1.e44408f314f7ep+2, 0x1.a9918dfe09758p+3}});
+  walk({net::MobilityKind::kWaypoint, 2.0, 30.0}, 99, {15.0, 15.0, 15.0},
+       {15.0, 15.0, 15.0}, 4.0,
+       {{0, 0, 0x1.808ff6e3e56abp+3, 0x1.66c5c4a1b5139p+4},
+        {0, 1, 0x1.93a0b27fc3dfbp+3, 0x1.d7509efc02827p+2},
+        {0, 2, 0x1.66008c05a8914p+4, 0x1.2197e2bf3d951p+4},
+        {5, 0, 0x1.1013267053495p+4, 0x1.becda7f8345f4p+3},
+        {5, 1, 0x1.ec152cd84020ap+3, 0x1.302d98d8d4d86p+4},
+        {5, 2, 0x1.5f635c2685aep+3, 0x1.7308aaac52bc1p+3}});
+}
+
+// An infinite step (from the time step, the speed or the engine's round
+// period) used to spin reflect() or the waypoint walk forever. Non-finite
+// or out-of-range values are rejected up front, and a huge finite velocity
+// step folds into the area in constant time.
+TEST(Mobility, RejectsStepsThatNeverEnd) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  using net::MobilityKind;
+  for (const MobilityKind kind :
+       {MobilityKind::kStatic, MobilityKind::kVelocity,
+        MobilityKind::kWaypoint}) {
+    for (const double speed : {inf, -inf, nan, -1.0})
+      EXPECT_THROW(net::MobilityModel({kind, speed, 20.0}, 1, 7),
+                   std::invalid_argument);
+    for (const double area : {inf, nan, 0.0, -5.0})
+      EXPECT_THROW(net::MobilityModel({kind, 1.0, area}, 1, 7),
+                   std::invalid_argument);
+    net::MobilityModel m({kind, 20.0, 20.0}, 1, 7);
+    double x = 10.0, y = 10.0;
+    for (const double dt : {inf, -inf, nan})
+      EXPECT_THROW(m.advance(0, dt, &x, &y), std::invalid_argument);
+    EXPECT_EQ(x, 10.0);
+    EXPECT_EQ(y, 10.0);
+  }
+  net::MobilityModel v({MobilityKind::kVelocity, 1e300, 20.0}, 1, 7);
+  double x = 10.0, y = 10.0;
+  EXPECT_THROW(v.advance(0, 1e10, &x, &y), std::invalid_argument);
+  v.advance(0, 1.0, &x, &y);
+  EXPECT_GE(x, 0.0);
+  EXPECT_LE(x, 20.0);
+  EXPECT_GE(y, 0.0);
+  EXPECT_LE(y, 20.0);
+
+  const auto table = synthetic_table(0.0, 0.1);
+  for (const double period : {inf, nan, 0.0}) {
+    net::NetScaleConfig cfg;
+    cfg.mobility = MobilityKind::kWaypoint;
+    cfg.round_period_s = period;
+    EXPECT_THROW(net::NetScaleEngine(cfg, table), std::invalid_argument);
+  }
+  for (const double speed : {inf, nan, -1.0}) {
+    net::NetScaleConfig cfg;
+    cfg.speed_mps = speed;
+    EXPECT_THROW(net::NetScaleEngine(cfg, table), std::invalid_argument);
+  }
+  net::NetScaleConfig cfg;
+  cfg.area_m = inf;
+  EXPECT_THROW(net::NetScaleEngine(cfg, table), std::invalid_argument);
 }
 
 // ------------------------------------------------------------------ engine
